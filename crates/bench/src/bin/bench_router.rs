@@ -4,9 +4,9 @@
 //! For each design size and each thread count in {1, 2, 4, 8} the harness
 //! routes the design, records the pattern-pass and negotiation wall-clock
 //! separately, and verifies the outcome is **bitwise identical** across
-//! thread counts *and* with windowing disabled. It also replays the PR-1
-//! era serial negotiation loop (full-grid A\* with per-segment allocation
-//! and per-relaxation cost recomputation) as the reference baseline, and
+//! thread counts. It also replays the PR-1 era serial negotiation loop
+//! (full-grid A\* with per-segment allocation and per-relaxation cost
+//! recomputation) as the reference baseline, and
 //! writes `target/experiments/BENCH_router.json` (same schema as
 //! `BENCH_parallel.json`).
 //!
@@ -228,11 +228,9 @@ fn main() {
         ));
 
         // --- New engine: threads sweep, bitwise checks. ---
-        let route = |threads: usize, margin: Option<u32>| {
-            GlobalRouter::new(
-                RouterConfig::builder().threads(threads).window_margin(margin).build(),
-            )
-            .route(&bench.design, &bench.placement)
+        let route = |threads: usize| {
+            GlobalRouter::new(RouterConfig::builder().threads(threads).build())
+                .route(&bench.design, &bench.placement)
         };
         let mut pattern_row =
             KernelRow { name: format!("pattern_pass/{cells}"), times: Vec::new() };
@@ -240,7 +238,7 @@ fn main() {
         let mut total_row = KernelRow { name: format!("total_route/{cells}"), times: Vec::new() };
         let mut prints: Vec<(u64, u64, Vec<u32>, u64)> = Vec::new();
         for &t in &THREADS {
-            let out = route(t, RouterConfig::default().window_margin);
+            let out = route(t);
             eprintln!(
                 "  {t} threads: pattern {:.3?}, negotiation {:.3?} ({} rounds)",
                 out.pattern_elapsed, out.negotiation_elapsed, out.iterations
@@ -253,12 +251,6 @@ fn main() {
         assert!(
             prints.iter().all(|p| *p == prints[0]),
             "router outcome not deterministic across thread counts ({cells} cells)"
-        );
-        // Windowing off must reproduce the same outcome bit for bit.
-        let unwindowed = fingerprint(&route(THREADS[THREADS.len() - 1], None));
-        assert_eq!(
-            unwindowed, prints[0],
-            "windowed and unbounded search disagree ({cells} cells)"
         );
 
         let nego_8t = nego_row.times[THREADS.len() - 1].as_secs_f64();
@@ -276,7 +268,6 @@ fn main() {
     let _ = writeln!(json, "  \"available_cores\": {cores},");
     let _ = writeln!(json, "  \"threads\": [1, 2, 4, 8],");
     let _ = writeln!(json, "  \"deterministic_across_threads\": true,");
-    let _ = writeln!(json, "  \"windowing_equivalent\": true,");
     let _ = writeln!(
         json,
         "  \"negotiation_speedup_vs_legacy_serial_8t\": {:.3},",

@@ -187,13 +187,6 @@ impl CongestionSchedule {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct GpRoutabilityOptions {
-    /// Legacy switch for the two-tier days: `true` meant "router
-    /// congestion every round". Only honored when `schedule` is still the
-    /// default (see [`GpRoutabilityOptions::effective_schedule`]).
-    #[deprecated(
-        note = "use `GpRoutabilityOptions::builder().schedule(CongestionSchedule::Uniform(CongestionSource::Router))`"
-    )]
-    pub use_router_congestion: bool,
     /// Router configuration of the [`CongestionSource::Router`] tier. Its
     /// `parallelism` is overridden by [`GpOptions::parallelism`] so the
     /// whole pipeline shares one thread-count knob.
@@ -221,22 +214,14 @@ impl GpRoutabilityOptions {
     pub fn to_builder(&self) -> GpRoutabilityOptionsBuilder {
         GpRoutabilityOptionsBuilder {
             router: self.router.clone(),
-            schedule: self.effective_schedule(),
+            schedule: self.schedule.clone(),
             estimator_weights: self.estimator_weights.clone(),
         }
     }
 
-    /// The schedule the placer actually runs: the deprecated
-    /// `use_router_congestion = true` shim maps to a uniform router
-    /// schedule as long as `schedule` itself was left at its default (an
-    /// explicit schedule always wins).
+    /// The schedule the placer runs.
     pub fn effective_schedule(&self) -> CongestionSchedule {
-        #[allow(deprecated)]
-        if self.use_router_congestion && self.schedule == CongestionSchedule::default() {
-            CongestionSchedule::Uniform(CongestionSource::Router)
-        } else {
-            self.schedule.clone()
-        }
+        self.schedule.clone()
     }
 
     /// The learned-tier weights in effect (explicit or built-in).
@@ -293,9 +278,7 @@ impl GpRoutabilityOptionsBuilder {
 
     /// Finishes the configuration.
     pub fn build(self) -> GpRoutabilityOptions {
-        #[allow(deprecated)]
         GpRoutabilityOptions {
-            use_router_congestion: false,
             router: self.router,
             schedule: self.schedule,
             estimator_weights: self.estimator_weights,
@@ -467,12 +450,8 @@ impl PlaceOptions {
     /// round routes from scratch, later rounds reroute only moved cells).
     /// Shorthand for `with_estimator(CongestionSchedule::Uniform(
     /// CongestionSource::Router))`.
-    pub fn with_router_congestion(mut self) -> Self {
-        #[allow(deprecated)]
-        {
-            self.routability_opts.use_router_congestion = true;
-        }
-        self
+    pub fn with_router_congestion(self) -> Self {
+        self.with_estimator(CongestionSchedule::Uniform(CongestionSource::Router))
     }
 
     /// Sets the congestion-estimator schedule of the routability loop
@@ -1546,23 +1525,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_router_bool_matches_uniform_router_schedule() {
-        let bench = generate(&GeneratorConfig::tiny("psh", 50)).unwrap();
-        let run = |opts: PlaceOptions| {
-            Placer::new(&bench.design, opts)
-                .with_initial(bench.placement.clone())
-                .run()
-                .unwrap()
-        };
-        let via_shim = run(PlaceOptions::fast().with_router_congestion());
-        let via_schedule = run(PlaceOptions::fast().with_estimator(CongestionSchedule::Uniform(
-            CongestionSource::Router,
-        )));
-        assert_eq!(via_shim.hpwl.to_bits(), via_schedule.hpwl.to_bits());
-        assert!(via_shim.inflation.iter().all(|s| s.source == CongestionSource::Router));
-    }
-
-    #[test]
     fn schedule_source_for_semantics() {
         let auto = CongestionSchedule::auto();
         assert_eq!(auto.source_for(0, 3), CongestionSource::Learned);
@@ -1585,27 +1547,6 @@ mod tests {
             Some(CongestionSchedule::Uniform(CongestionSource::Learned))
         );
         assert_eq!(CongestionSchedule::parse("bogus"), None);
-        // An explicit schedule wins over the deprecated bool; the bool
-        // alone maps to a uniform router schedule.
-        let shim = GpRoutabilityOptions::default();
-        assert_eq!(shim.effective_schedule(), CongestionSchedule::default());
-        let mut shim = GpRoutabilityOptions::default();
-        #[allow(deprecated)]
-        {
-            shim.use_router_congestion = true;
-        }
-        assert_eq!(
-            shim.effective_schedule(),
-            CongestionSchedule::Uniform(CongestionSource::Router)
-        );
-        let explicit = shim
-            .to_builder()
-            .schedule(CongestionSchedule::Uniform(CongestionSource::Learned))
-            .build();
-        assert_eq!(
-            explicit.effective_schedule(),
-            CongestionSchedule::Uniform(CongestionSource::Learned)
-        );
     }
 
     #[test]

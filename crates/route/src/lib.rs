@@ -16,7 +16,7 @@
 //! * [`learned`] — the middle estimator tier: a deterministic per-edge
 //!   linear regressor over per-gcell congestion features, trained offline
 //!   on this router's own overflow (`rdp train-estimator`);
-//! * [`maze`] — windowed A\* maze routing over reusable epoch-stamped
+//! * [`maze`] — canonical A\* maze routing over reusable epoch-stamped
 //!   scratch, driving history-based negotiation (rip-up-and-reroute), the
 //!   full router used for scoring;
 //! * [`metrics`] — overflow and the contest's ACE(k%) / RC metrics;

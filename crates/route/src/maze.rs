@@ -1,7 +1,7 @@
 //! A\* maze routing on the gcell grid.
 //!
 //! Used by the negotiation loop to reroute ripped-up segments around
-//! congestion. Three things make this engine fast enough to sit in the
+//! congestion. Two things make this engine fast enough to sit in the
 //! placer's inner loop:
 //!
 //! * **Reusable scratch** ([`MazeScratch`]): the per-cell `best_g` /
@@ -10,43 +10,28 @@
 //!   a worker routes.
 //! * **Frozen costs** ([`EdgeCosts`]): edge costs are snapshotted once per
 //!   negotiation round, so a heap relaxation is a single array load.
-//! * **Bounded windows**: the search runs inside the segment's bounding
-//!   box plus a margin. A cost certificate (below) proves when the
-//!   windowed result equals the unbounded one; when it cannot, the window
-//!   doubles and the search retries, degenerating to the full grid in
-//!   O(log grid) steps.
 //!
 //! **Canonical paths.** Among equal-cost shortest paths the search returns
 //! a *canonical* one: cells keep relaxing until every queue entry is
 //! provably worse than the target's distance, and on exact cost ties the
 //! lexicographically smallest parent wins. The resulting parent array is a
-//! pure function of the cost field — independent of exploration order, of
-//! the thread count, *and of the window* (once the certificate holds):
+//! pure function of the cost field — independent of exploration order and
+//! of the thread count.
 //!
-//! * every edge cost is ≥ `min_cost` (asserted > 0 at snapshot build), so
-//!   any path that leaves the window `bbox + margin` must detour at least
-//!   `2·(margin+1)` extra edges and therefore costs at least
-//!   `min_cost · (manhattan + 2·(margin+1))`;
-//! * hence if the windowed search finds a path strictly cheaper than that
-//!   bound, **all** optimal paths (and all their cells and optimal
-//!   predecessors) lie strictly inside the window, the windowed distance
-//!   labels equal the unbounded ones on those cells, and the
-//!   lexicographic tie-break reconstructs the identical path.
-//!
-//! That equivalence is what lets `RouterConfig.window_margin` change
-//! wall-clock without changing a single bit of the routing outcome
-//! (pinned by `tests/windowed_equivalence.rs` and `tests/determinism.rs`).
+//! **No search window.** The search always spans the whole grid. The
+//! Manhattan heuristic (scaled by [`EdgeCosts::min_cost`]) already keeps
+//! it away from cells that cannot beat the target: a cell `k` gcells
+//! outside the segment's bounding box has `f ≥ min_cost·(manhattan + 2k)`,
+//! so it is only popped when the best path costs at least that much.
+//! Bounding the search to `bbox + margin` therefore pops no fewer cells
+//! whenever the bounded answer is provably the unbounded one, and on
+//! congested grids, where that proof often fails, it wastes the bounded
+//! searches that precede the full one.
 
 use crate::grid::{EdgeId, GCell, RouteGrid};
 use crate::pattern::{CostParams, EdgeCosts};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Conservative relative slack on the window-escape certificate: float
-/// summation of a path's edge costs can round below the mathematical
-/// product `min_cost · length` by a relative error of ~`length · ε`;
-/// 1e-7 covers paths of up to ~4·10⁸ edges, far beyond any grid here.
-const CERTIFICATE_SLACK: f64 = 1.0 - 1e-7;
 
 #[derive(Debug)]
 struct HeapEntry {
@@ -195,46 +180,25 @@ impl MazeScratch {
     }
 }
 
-/// An inclusive rectangular search window in gcell coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Window {
-    x0: u32,
-    x1: u32,
-    y0: u32,
-    y1: u32,
-}
-
-impl Window {
-    fn full(grid: &RouteGrid) -> Self {
-        Window { x0: 0, x1: grid.nx() - 1, y0: 0, y1: grid.ny() - 1 }
-    }
-
-    /// The bounding box of `from`/`to` expanded by `margin`, clipped to
-    /// the grid.
-    fn around(grid: &RouteGrid, from: GCell, to: GCell, margin: u32) -> Self {
-        Window {
-            x0: from.x.min(to.x).saturating_sub(margin),
-            x1: (from.x.max(to.x).saturating_add(margin)).min(grid.nx() - 1),
-            y0: from.y.min(to.y).saturating_sub(margin),
-            y1: (from.y.max(to.y).saturating_add(margin)).min(grid.ny() - 1),
-        }
-    }
-
-}
-
-/// Canonical A\* restricted to `win`. Returns the cost of the best path
-/// found (`f64::INFINITY` only on a malformed window excluding the
-/// target, which [`Window::around`] never builds). Labels are left in
-/// `scratch` for reconstruction.
-fn search(
+/// Finds the cheapest path from `from` to `to` under the frozen `costs`
+/// by canonical A\* over the whole grid, reusing `scratch`. Returns the
+/// path's edges in order; empty when `from == to`.
+///
+/// The search always succeeds on a connected grid (every grid is), though
+/// the path may cross overflowed edges when no free route exists — the
+/// negotiation history then pushes later iterations elsewhere.
+pub fn search(
     grid: &RouteGrid,
     costs: &EdgeCosts,
     from: GCell,
     to: GCell,
-    win: Window,
     scratch: &mut MazeScratch,
-) -> f64 {
+) -> Vec<EdgeId> {
+    if from == to {
+        return Vec::new();
+    }
     scratch.begin(grid.num_gcells());
+    let (x_max, y_max) = (grid.nx() - 1, grid.ny() - 1);
     let h_scale = costs.min_cost();
     let h = |c: GCell| f64::from(c.manhattan(to)) * h_scale;
     let from_i = grid.cell_index(from);
@@ -270,25 +234,24 @@ fn search(
             } else if ng == cur && (ci as u32) < scratch.parent_of(ni) {
                 // Exact cost tie: the lexicographically smallest parent
                 // wins, making the parent array independent of
-                // exploration order (and of the window, once the escape
-                // certificate holds).
+                // exploration order.
                 scratch.set(ni, ng, ci as u32);
             }
         };
-        if cell.x > win.x0 {
+        if cell.x > 0 {
             relax(GCell::new(cell.x - 1, cell.y), grid.h_edge(cell.x - 1, cell.y), scratch);
         }
-        if cell.x < win.x1 {
+        if cell.x < x_max {
             relax(GCell::new(cell.x + 1, cell.y), grid.h_edge(cell.x, cell.y), scratch);
         }
-        if cell.y > win.y0 {
+        if cell.y > 0 {
             relax(GCell::new(cell.x, cell.y - 1), grid.v_edge(cell.x, cell.y - 1), scratch);
         }
-        if cell.y < win.y1 {
+        if cell.y < y_max {
             relax(GCell::new(cell.x, cell.y + 1), grid.v_edge(cell.x, cell.y), scratch);
         }
     }
-    target_g
+    reconstruct(grid, from, to, scratch)
 }
 
 /// Walks the parent chain from `to` back to `from`, returning the path's
@@ -310,82 +273,36 @@ fn reconstruct(grid: &RouteGrid, from: GCell, to: GCell, scratch: &MazeScratch) 
     edges
 }
 
-/// Finds the cheapest path from `from` to `to` under the frozen `costs`,
-/// searching inside the segment bounding box expanded by `margin` gcells
-/// (`None` = whole grid). Returns the path's edges in order; empty when
-/// `from == to`.
-///
-/// The windowed result is **identical** to the unbounded one: the search
-/// accepts a windowed path only when its cost certifies that no path
-/// escaping the window can match it (every edge costs ≥
-/// [`EdgeCosts::min_cost`], so escaping costs at least
-/// `min_cost · (manhattan + 2·(margin+1))`); otherwise the margin doubles
-/// and the search retries, reaching the full grid in O(log grid) steps.
-pub fn route_maze_windowed(
-    grid: &RouteGrid,
-    costs: &EdgeCosts,
-    from: GCell,
-    to: GCell,
-    margin: Option<u32>,
-    scratch: &mut MazeScratch,
-) -> Vec<EdgeId> {
-    if from == to {
-        return Vec::new();
-    }
-    let full = Window::full(grid);
-    let d = f64::from(from.manhattan(to));
-    let mut margin = margin;
-    loop {
-        let win = match margin {
-            Some(m) => Window::around(grid, from, to, m),
-            None => full,
-        };
-        let cost = search(grid, costs, from, to, win, scratch);
-        let accepted = win == full || {
-            let m = f64::from(margin.unwrap_or(0));
-            cost < costs.min_cost() * (d + 2.0 * (m + 1.0)) * CERTIFICATE_SLACK
-        };
-        if accepted {
-            return reconstruct(grid, from, to, scratch);
-        }
-        // Certificate failed: a path escaping the window could still be
-        // cheaper (or tie). Double the window and retry.
-        margin = margin.map(|m| m.saturating_mul(2).max(1));
-    }
-}
-
 /// Finds the cheapest path from `from` to `to` under the **live** grid
-/// costs, searching the whole grid. Returns its edges in order; empty when
-/// `from == to`.
+/// costs. Returns its edges in order; empty when `from == to`.
 ///
-/// Convenience wrapper over [`route_maze_windowed`] that snapshots the
-/// costs and allocates a scratch per call — fine for one-off queries and
-/// tests; the negotiation loop uses the reusable pieces directly.
-///
-/// The search always succeeds on a connected grid (every grid is), though
-/// the path may cross overflowed edges when no free route exists — the
-/// negotiation history then pushes later iterations elsewhere.
+/// Convenience wrapper over [`search`] that snapshots the costs and
+/// allocates a scratch per call — fine for one-off queries and tests; the
+/// negotiation loop uses the reusable pieces directly.
 pub fn route_maze(grid: &RouteGrid, from: GCell, to: GCell, params: CostParams) -> Vec<EdgeId> {
     if from == to {
         return Vec::new();
     }
     let costs = EdgeCosts::build(grid, params);
-    let mut scratch = MazeScratch::new();
-    route_maze_windowed(grid, &costs, from, to, None, &mut scratch)
+    search(grid, &costs, from, to, &mut MazeScratch::new())
 }
 
-/// Canonical A\* over the layered grid, restricted to `win × all layers`.
-/// States are `(layer, x, y)` with flat index `(layer·ny + y)·nx + x`;
-/// both endpoints sit at layer 0, where pins land. Labels are left in
-/// `scratch` for [`reconstruct3`].
-fn search3(
+/// Layered counterpart of [`search`]: cheapest path between two layer-0
+/// endpoints by canonical A\* over the whole 3-D grid (planar edges on
+/// their layers, via edges between). States are `(layer, x, y)` with flat
+/// index `(layer·ny + y)·nx + x`; both endpoints sit at layer 0, where
+/// pins land. Returns the path's edges (planar and via) in order; empty
+/// when `from == to`.
+pub fn search3(
     grid: &RouteGrid,
     costs: &EdgeCosts,
     from: GCell,
     to: GCell,
-    win: Window,
     scratch: &mut MazeScratch,
-) -> f64 {
+) -> Vec<EdgeId> {
+    if from == to {
+        return Vec::new();
+    }
     debug_assert!(grid.has_vias(), "search3 needs via edges to change layers");
     let (nx, ny) = (grid.nx(), grid.ny());
     let nl = grid.num_layers() as u32;
@@ -431,18 +348,18 @@ fn search3(
         };
         match grid.layer_dir(l as usize) {
             crate::grid::LayerDir::Horizontal => {
-                if x > win.x0 {
+                if x > 0 {
                     relax(idx(l, x - 1, y), grid.h_edge_on(l as usize, x - 1, y), h(l, x - 1, y), scratch);
                 }
-                if x < win.x1 {
+                if x + 1 < nx {
                     relax(idx(l, x + 1, y), grid.h_edge_on(l as usize, x, y), h(l, x + 1, y), scratch);
                 }
             }
             crate::grid::LayerDir::Vertical => {
-                if y > win.y0 {
+                if y > 0 {
                     relax(idx(l, x, y - 1), grid.v_edge_on(l as usize, x, y - 1), h(l, x, y - 1), scratch);
                 }
-                if y < win.y1 {
+                if y + 1 < ny {
                     relax(idx(l, x, y + 1), grid.v_edge_on(l as usize, x, y), h(l, x, y + 1), scratch);
                 }
             }
@@ -454,7 +371,7 @@ fn search3(
             relax(idx(l + 1, x, y), grid.via_edge(x, y, l as usize), h(l + 1, x, y), scratch);
         }
     }
-    target_g
+    reconstruct3(grid, from, to, scratch)
 }
 
 /// Walks the 3-D parent chain from `(0, to)` back to `(0, from)`,
@@ -491,57 +408,14 @@ fn reconstruct3(grid: &RouteGrid, from: GCell, to: GCell, scratch: &MazeScratch)
     edges
 }
 
-/// Layered counterpart of [`route_maze_windowed`]: cheapest path between
-/// two layer-0 endpoints through the full 3-D grid (planar edges on their
-/// layers, via edges between), searching inside `bbox + margin` × the
-/// whole layer range.
-///
-/// The same window-escape certificate applies unchanged: any path leaving
-/// the planar window must spend at least `2·(margin+1)` extra planar
-/// edges at ≥ `min_cost` each — via edges only ever *add* cost — so a
-/// windowed path strictly under the bound is provably globally optimal,
-/// and the canonical tie-break makes the result independent of the window
-/// and the thread count.
-pub fn route_maze3_windowed(
-    grid: &RouteGrid,
-    costs: &EdgeCosts,
-    from: GCell,
-    to: GCell,
-    margin: Option<u32>,
-    scratch: &mut MazeScratch,
-) -> Vec<EdgeId> {
-    if from == to {
-        return Vec::new();
-    }
-    let full = Window::full(grid);
-    let d = f64::from(from.manhattan(to));
-    let mut margin = margin;
-    loop {
-        let win = match margin {
-            Some(m) => Window::around(grid, from, to, m),
-            None => full,
-        };
-        let cost = search3(grid, costs, from, to, win, scratch);
-        let accepted = win == full || {
-            let m = f64::from(margin.unwrap_or(0));
-            cost < costs.min_cost() * (d + 2.0 * (m + 1.0)) * CERTIFICATE_SLACK
-        };
-        if accepted {
-            return reconstruct3(grid, from, to, scratch);
-        }
-        margin = margin.map(|m| m.saturating_mul(2).max(1));
-    }
-}
-
-/// One-off layered maze query under the live grid costs (whole grid, own
-/// scratch) — the 3-D analogue of [`route_maze`].
+/// One-off layered maze query under the live grid costs (own scratch) —
+/// the 3-D analogue of [`route_maze`].
 pub fn route_maze3(grid: &RouteGrid, from: GCell, to: GCell, params: CostParams) -> Vec<EdgeId> {
     if from == to {
         return Vec::new();
     }
     let costs = EdgeCosts::build(grid, params);
-    let mut scratch = MazeScratch::new();
-    route_maze3_windowed(grid, &costs, from, to, None, &mut scratch)
+    search3(grid, &costs, from, to, &mut MazeScratch::new())
 }
 
 #[cfg(test)]
@@ -640,28 +514,10 @@ mod tests {
         ];
         // Reused scratch vs a fresh scratch per query: identical paths.
         for &(a, b) in &pairs {
-            let reused = route_maze_windowed(&g, &costs, a, b, Some(2), &mut scratch);
-            let fresh =
-                route_maze_windowed(&g, &costs, a, b, Some(2), &mut MazeScratch::new());
+            let reused = search(&g, &costs, a, b, &mut scratch);
+            let fresh = search(&g, &costs, a, b, &mut MazeScratch::new());
             assert_eq!(reused, fresh, "{a:?} -> {b:?}");
         }
-    }
-
-    #[test]
-    fn tiny_window_matches_unbounded_around_a_wall() {
-        let mut g = grid();
-        // Wall forces the route far outside the segment bbox: margin 0
-        // must expand until it certifies, then match unbounded exactly.
-        for y in 0..9 {
-            g.add_usage(g.h_edge(4, y), 100.0);
-        }
-        let costs = EdgeCosts::build(&g, CostParams::default());
-        let mut scratch = MazeScratch::new();
-        let from = GCell::new(0, 0);
-        let to = GCell::new(9, 0);
-        let windowed = route_maze_windowed(&g, &costs, from, to, Some(0), &mut scratch);
-        let unbounded = route_maze_windowed(&g, &costs, from, to, None, &mut scratch);
-        assert_eq!(windowed, unbounded);
     }
 
     fn grid3() -> RouteGrid {
@@ -760,20 +616,17 @@ mod tests {
     }
 
     #[test]
-    fn maze3_window_matches_unbounded() {
+    fn maze3_climbs_off_a_saturated_corridor() {
         let mut g = grid3();
-        // Saturate layer 0's bottom corridor so the best route detours.
+        // Saturate layer 0's bottom corridor: the route must take the
+        // other horizontal layer instead.
         for x in 0..5 {
             g.add_usage(g.h_edge_on(0, x, 0), 100.0);
         }
-        let costs = EdgeCosts::build(&g, CostParams::default());
-        let mut scratch = MazeScratch::new();
-        let from = GCell::new(0, 0);
-        let to = GCell::new(5, 0);
-        let windowed = route_maze3_windowed(&g, &costs, from, to, Some(0), &mut scratch);
-        let unbounded = route_maze3_windowed(&g, &costs, from, to, None, &mut scratch);
-        assert_eq!(windowed, unbounded);
-        assert!(!windowed.is_empty());
+        let path = route_maze3(&g, GCell::new(0, 0), GCell::new(5, 0), CostParams::default());
+        assert!(!path.is_empty());
+        assert!(path.iter().all(|&e| (0..5).all(|x| e != g.h_edge_on(0, x, 0))));
+        assert!(path.iter().any(|&e| g.is_via(e)), "leaving layer 0 takes vias");
     }
 
     #[test]
@@ -783,11 +636,11 @@ mod tests {
         let costs2 = EdgeCosts::build(&g2, CostParams::default());
         let costs3 = EdgeCosts::build(&g3, CostParams::default());
         let mut scratch = MazeScratch::new();
-        let a2 = route_maze_windowed(&g2, &costs2, GCell::new(0, 0), GCell::new(7, 7), Some(2), &mut scratch);
-        let a3 = route_maze3_windowed(&g3, &costs3, GCell::new(0, 0), GCell::new(5, 5), Some(2), &mut scratch);
+        let a2 = search(&g2, &costs2, GCell::new(0, 0), GCell::new(7, 7), &mut scratch);
+        let a3 = search3(&g3, &costs3, GCell::new(0, 0), GCell::new(5, 5), &mut scratch);
         // Interleave and repeat: identical results from the shared scratch.
-        let b2 = route_maze_windowed(&g2, &costs2, GCell::new(0, 0), GCell::new(7, 7), Some(2), &mut scratch);
-        let b3 = route_maze3_windowed(&g3, &costs3, GCell::new(0, 0), GCell::new(5, 5), Some(2), &mut scratch);
+        let b2 = search(&g2, &costs2, GCell::new(0, 0), GCell::new(7, 7), &mut scratch);
+        let b3 = search3(&g3, &costs3, GCell::new(0, 0), GCell::new(5, 5), &mut scratch);
         assert_eq!(a2, b2);
         assert_eq!(a3, b3);
     }

@@ -66,8 +66,8 @@ pub fn edge_cost(grid: &RouteGrid, e: EdgeId, params: CostParams) -> f64 {
 /// capacity — only change **between** reroute rounds, never during one, so
 /// each round snapshots the costs once and every heap relaxation becomes a
 /// single array load instead of a recomputation. The snapshot also carries
-/// the global minimum edge cost, which the windowed A\* uses both as its
-/// admissible-heuristic scale and in its window-escape bound.
+/// the global minimum edge cost, which the maze A\* uses as its
+/// admissible-heuristic scale.
 ///
 /// Construction asserts every cost is finite and strictly positive: a NaN
 /// or infinite cost would silently corrupt heap order (and therefore

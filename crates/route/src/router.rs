@@ -5,11 +5,11 @@
 //! The negotiation rounds are deterministic-parallel: each round rips up
 //! every segment crossing overflow, snapshots the edge costs once
 //! ([`EdgeCosts`]), reroutes the ripped segments in fixed-size chunks on
-//! worker threads against that immutable snapshot (windowed A\* with a
-//! reusable per-worker [`MazeScratch`]), and folds the new usage back in
-//! segment order — bitwise identical at every thread count. Overflowed
-//! edges are tracked incrementally across rounds instead of rescanning the
-//! whole grid.
+//! worker threads against that immutable snapshot (canonical A\* over the
+//! whole grid with a reusable per-worker [`MazeScratch`]), and folds the
+//! new usage back in segment order — bitwise identical at every thread
+//! count. Overflowed edges are tracked incrementally across rounds instead
+//! of rescanning the whole grid.
 //!
 //! For the placer's inflation loop, where each round moves only a small
 //! fraction of cells, [`GlobalRouter::reroute_incremental`] resumes from a
@@ -20,7 +20,7 @@
 //! design.
 
 use crate::grid::{EdgeId, RouteGrid};
-use crate::maze::{route_maze3_windowed, route_maze_windowed, MazeScratch};
+use crate::maze::{search, search3, MazeScratch};
 use crate::metrics::CongestionMetrics;
 use crate::pattern::{route_pattern, route_pattern3, CostParams, EdgeCosts};
 use crate::topology::{decompose_net, Segment};
@@ -83,11 +83,6 @@ pub struct RouterConfig {
     /// (results are identical at every thread count; see
     /// [`rdp_geom::parallel`]).
     pub parallelism: Parallelism,
-    /// Starting margin (in gcells) of the windowed A\* around each ripped
-    /// segment's bounding box; the window doubles on demand, so the
-    /// routing outcome is bitwise independent of this knob. `None`
-    /// searches the whole grid.
-    pub window_margin: Option<u32>,
     /// History *aging* factor a warm start applies to the retained
     /// history costs before resuming negotiation
     /// ([`GlobalRouter::reroute_incremental`] only; a fresh
@@ -116,7 +111,6 @@ impl Default for RouterConfig {
             history_increment: 1.5,
             cost: CostParams::default(),
             parallelism: Parallelism::auto(),
-            window_margin: Some(8),
             history_decay: 0.1,
             time_budget: None,
             layers: LayerMode::default(),
@@ -185,13 +179,6 @@ impl RouterConfigBuilder {
     /// Shorthand for an explicit worker-thread count.
     pub fn threads(mut self, n: usize) -> Self {
         self.config.parallelism = Parallelism::new(n);
-        self
-    }
-
-    /// Starting window margin of the windowed A\* (`None` = whole grid).
-    /// Accepts a bare `u32` or an `Option<u32>`.
-    pub fn window_margin(mut self, margin: impl Into<Option<u32>>) -> Self {
-        self.config.window_margin = margin.into();
         self
     }
 
@@ -275,6 +262,9 @@ struct OverflowSet {
     flags: Vec<bool>,
     /// Sorted ids of the overflowed edges.
     list: Vec<u32>,
+    /// Dedup bitmap for [`OverflowSet::update`], indexed by edge id; all
+    /// `false` between calls.
+    seen: Vec<bool>,
 }
 
 impl OverflowSet {
@@ -290,7 +280,8 @@ impl OverflowSet {
             .filter(|&(_, &f)| f)
             .map(|(i, _)| i as u32)
             .collect();
-        OverflowSet { flags, list }
+        let seen = vec![false; flags.len()];
+        OverflowSet { flags, list, seen }
     }
 
     /// Rebuilds the set from a sorted membership list saved by a previous
@@ -300,7 +291,7 @@ impl OverflowSet {
         for &e in &list {
             flags[e as usize] = true;
         }
-        OverflowSet { flags, list }
+        OverflowSet { flags, list, seen: vec![false; num_edges] }
     }
 
     fn is_empty(&self) -> bool {
@@ -320,10 +311,13 @@ impl OverflowSet {
         // entry per segment-edge crossing (easily 100× the edge count on a
         // busy round), while the distinct edges are bounded by the grid —
         // sorting the deduped remainder is far cheaper than sorting raw.
-        let mut seen = vec![false; self.flags.len()];
+        // The bitmap persists across rounds; only the touched entries are
+        // cleared again.
+        let seen = &mut self.seen;
         touched.retain(|&e| !std::mem::replace(&mut seen[e as usize], true));
         touched.sort_unstable();
         for &e in touched.iter() {
+            self.seen[e as usize] = false;
             self.flags[e as usize] = grid.overflow(EdgeId(e)) > OVERFLOW_EPS;
         }
         let mut merged = Vec::with_capacity(self.list.len() + touched.len());
@@ -669,7 +663,6 @@ impl GlobalRouter {
             // the round is bitwise identical at every thread count.
             let requests: Vec<Segment> = ripped.iter().map(|&i| routed[i].segment).collect();
             let seg_spans: Vec<_> = chunk_spans(requests.len(), SEG_CHUNK).collect();
-            let margin = self.config.window_margin;
             let rerouted: Vec<Vec<Vec<EdgeId>>> = {
                 let g: &RouteGrid = grid;
                 let costs = &costs;
@@ -683,9 +676,9 @@ impl GlobalRouter {
                             .map(|k| {
                                 let s = requests[k];
                                 if use3d {
-                                    route_maze3_windowed(g, costs, s.from, s.to, margin, scratch)
+                                    search3(g, costs, s.from, s.to, scratch)
                                 } else {
-                                    route_maze_windowed(g, costs, s.from, s.to, margin, scratch)
+                                    search(g, costs, s.from, s.to, scratch)
                                 }
                             })
                             .collect()
@@ -871,36 +864,5 @@ mod tests {
         let b = GlobalRouter::new(RouterConfig::default()).route(&bench.design, &bench.placement);
         assert_eq!(a.metrics.rc, b.metrics.rc);
         assert_eq!(a.metrics.total_overflow, b.metrics.total_overflow);
-    }
-
-    #[test]
-    fn windowing_does_not_change_the_outcome() {
-        let bench = generate(&GeneratorConfig::tiny("r5", 11)).unwrap();
-        let run = |margin: Option<u32>| {
-            GlobalRouter::new(RouterConfig::builder().window_margin(margin).build())
-                .route(&bench.design, &bench.placement)
-        };
-        let unbounded = run(None);
-        for margin in [Some(0), Some(2), Some(8)] {
-            let windowed = run(margin);
-            assert_eq!(unbounded.net_lengths, windowed.net_lengths, "{margin:?}");
-            assert_eq!(
-                unbounded.metrics.total_overflow.to_bits(),
-                windowed.metrics.total_overflow.to_bits(),
-                "{margin:?}"
-            );
-            assert_eq!(
-                unbounded.metrics.rc.to_bits(),
-                windowed.metrics.rc.to_bits(),
-                "{margin:?}"
-            );
-            for (a, b) in unbounded.grid.edge_ids().zip(windowed.grid.edge_ids()) {
-                assert_eq!(
-                    unbounded.grid.usage(a).to_bits(),
-                    windowed.grid.usage(b).to_bits(),
-                    "edge usage differs under {margin:?}"
-                );
-            }
-        }
     }
 }

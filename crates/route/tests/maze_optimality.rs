@@ -1,17 +1,24 @@
 //! Property test: the A\* maze router returns cost-optimal paths.
 //!
 //! Verified against a brute-force Bellman-Ford relaxation over the whole
-//! grid — slow but obviously correct — on random congestion fields drawn
-//! from the workspace's own deterministic PRNG. The `property-tests`
-//! feature multiplies the case count.
+//! grid — slow but obviously correct — on random congestion and history
+//! fields drawn from the workspace's own deterministic PRNG. The
+//! `property-tests` feature multiplies the case count.
 
 use rdp_geom::rng::Rng;
 use rdp_geom::Point;
-use rdp_route::pattern::{edge_cost, CostParams};
-use rdp_route::{maze, GCell, RouteGrid};
+use rdp_route::pattern::{edge_cost, CostParams, EdgeCosts};
+use rdp_route::{maze, GCell, MazeScratch, RouteGrid};
 
 /// Random congestion fields checked per run.
 const CASES: u64 = if cfg!(feature = "property-tests") { 96 } else { 24 };
+
+/// Random wall-and-history fields checked per run.
+const WALL_CASES: u64 = if cfg!(feature = "property-tests") { 64 } else { 16 };
+
+/// Side length of the wall-and-history grids (big enough that optimal
+/// paths regularly detour far outside the segment's bounding box).
+const N: u32 = 16;
 
 /// Brute-force single-source shortest path by repeated relaxation.
 fn bellman_ford_cost(grid: &RouteGrid, from: GCell, to: GCell, params: CostParams) -> f64 {
@@ -86,4 +93,69 @@ fn maze_path_cost_is_optimal() {
             );
         }
     }
+}
+
+#[test]
+fn reused_scratch_paths_are_optimal_around_walls_and_history() {
+    let params = CostParams::default();
+    let mut scratch = MazeScratch::new();
+    for case in 0..WALL_CASES {
+        let mut rng = Rng::seed_from_u64(0x51_D0_u64.wrapping_add(case.wrapping_mul(0x9E37)));
+        let mut grid = RouteGrid::uniform(N, N, Point::ORIGIN, 1.0, 1.0, 4.0, 4.0);
+        let edges: Vec<_> = grid.edge_ids().collect();
+        for &e in &edges {
+            // Mix congested walls, moderate usage and history so optimal
+            // paths regularly detour outside the segment bbox.
+            let roll = rng.gen_range(0.0..1.0);
+            if roll < 0.15 {
+                grid.add_usage(e, rng.gen_range(8.0..40.0));
+            } else if roll < 0.6 {
+                grid.add_usage(e, rng.gen_range(0.0..6.0));
+            }
+            if rng.gen_range(0.0..1.0) < 0.2 {
+                grid.add_history(e, rng.gen_range(0.0..5.0));
+            }
+        }
+        let from = GCell::new(rng.gen_range(0u32..N), rng.gen_range(0u32..N));
+        let to = GCell::new(rng.gen_range(0u32..N), rng.gen_range(0u32..N));
+        let costs = EdgeCosts::build(&grid, params);
+
+        let path = maze::search(&grid, &costs, from, to, &mut scratch);
+        let path_cost: f64 = path.iter().map(|&e| costs.cost(e)).sum();
+        let optimal = bellman_ford_cost(&grid, from, to, params);
+        if from == to {
+            assert!(path.is_empty());
+        } else {
+            assert!(
+                (path_cost - optimal).abs() < 1e-6,
+                "case {case}: A* cost {path_cost} vs optimal {optimal}"
+            );
+        }
+    }
+}
+
+#[test]
+fn canonical_path_is_stable_under_scratch_history() {
+    // The same query through a scratch that has just served unrelated
+    // searches must return the identical path (epoch stamping leaves no
+    // residue).
+    let params = CostParams::default();
+    let mut grid = RouteGrid::uniform(N, N, Point::ORIGIN, 1.0, 1.0, 4.0, 4.0);
+    let mut rng = Rng::seed_from_u64(0xCAFE);
+    let edges: Vec<_> = grid.edge_ids().collect();
+    for &e in &edges {
+        grid.add_usage(e, rng.gen_range(0.0..10.0));
+    }
+    let costs = EdgeCosts::build(&grid, params);
+    let from = GCell::new(1, 2);
+    let to = GCell::new(14, 13);
+    let clean = maze::search(&grid, &costs, from, to, &mut MazeScratch::new());
+    let mut dirty = MazeScratch::new();
+    for _ in 0..20 {
+        let a = GCell::new(rng.gen_range(0u32..N), rng.gen_range(0u32..N));
+        let b = GCell::new(rng.gen_range(0u32..N), rng.gen_range(0u32..N));
+        let _ = maze::search(&grid, &costs, a, b, &mut dirty);
+    }
+    let reused = maze::search(&grid, &costs, from, to, &mut dirty);
+    assert_eq!(clean, reused);
 }

@@ -2,8 +2,8 @@
 //!
 //! * **Bitwise thread invariance** — a `LayerMode::Layered` route on a
 //!   non-degenerate stack (the 4-layer generator preset) must be bitwise
-//!   identical at 1/2/8 threads and at every window margin, over *all*
-//!   edges: planar usage, via usage and history alike.
+//!   identical at 1/2/8 threads, over *all* edges: planar usage, via
+//!   usage and history alike.
 //! * **Incremental equivalence** — `reroute_incremental` stays on the
 //!   layered grid, is bitwise thread-invariant, and the all-cells-moved
 //!   fallback reproduces a fresh route exactly.
@@ -54,33 +54,20 @@ fn fingerprint(out: &RoutingOutcome) -> (Vec<u64>, Vec<u64>, Vec<u32>, Vec<u32>,
 }
 
 #[test]
-fn layered_route_is_bitwise_thread_and_window_invariant() {
+fn layered_route_is_bitwise_thread_invariant() {
     let bench = bench4("r3d1", 51);
-    let route = |threads: usize, margin: Option<u32>| {
-        GlobalRouter::new(
-            RouterConfig::builder()
-                .threads(threads)
-                .layers(LayerMode::Layered)
-                .window_margin(margin)
-                .build(),
-        )
-        .route(&bench.design, &bench.placement)
-    };
-    let base = route(1, None);
+    let route =
+        |threads: usize| GlobalRouter::new(config(threads)).route(&bench.design, &bench.placement);
+    let base = route(1);
     assert!(base.grid.has_vias(), "4-layer stack must route in 3-D");
     assert_eq!(base.grid.num_layers(), 4);
-    for threads in THREADS {
-        for margin in [None, Some(0), Some(4)] {
-            if threads == 1 && margin.is_none() {
-                continue;
-            }
-            let r = route(threads, margin);
-            assert_eq!(
-                fingerprint(&base),
-                fingerprint(&r),
-                "layered route differs at {threads} threads, margin {margin:?}"
-            );
-        }
+    for threads in [2, 8] {
+        let r = route(threads);
+        assert_eq!(
+            fingerprint(&base),
+            fingerprint(&r),
+            "layered route differs at {threads} threads"
+        );
     }
 }
 

@@ -25,6 +25,10 @@ run() {
 run cargo build --release --workspace
 run cargo test --workspace -q
 run cargo clippy --workspace --all-targets -- -D warnings
+# The repository benchmark harness is a workspace of its own, so the
+# workspace test above does not reach it: run its tests (every workload
+# at smoke scale, plus its correctness checks) explicitly.
+run cargo test --manifest-path rdpbench/Cargo.toml -q
 # Fused-gradient regression gate: compare the smoke sweep against a
 # recorded baseline (default: the checked-in BENCH_scale.json). bench_scale
 # exits non-zero when the fused pass regresses >15% at equal thread count;

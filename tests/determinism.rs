@@ -92,59 +92,47 @@ fn nesterov_electrostatic_placer_is_bitwise_identical_across_thread_counts() {
 }
 
 #[test]
-fn router_is_bitwise_identical_across_thread_counts_and_windows() {
+fn router_is_bitwise_identical_across_thread_counts() {
     let bench = generate(&GeneratorConfig::tiny("det-rt", 78)).unwrap();
-    let run = |threads: usize, window_margin: Option<u32>| {
-        GlobalRouter::new(
-            RouterConfig::builder()
-                .threads(threads)
-                .window_margin(window_margin)
-                .build(),
-        )
-        .route(&bench.design, &bench.placement)
+    let run = |threads: usize| {
+        GlobalRouter::new(RouterConfig::builder().threads(threads).build())
+            .route(&bench.design, &bench.placement)
     };
-    // Baseline: single-threaded, unbounded search. Every thread count and
-    // every window margin must reproduce it bit for bit — the windowed A*
-    // only accepts a result when its cost certifies equivalence with the
-    // unbounded search.
-    let base = run(1, None);
-    for threads in [1, 2, 8] {
-        for margin in [None, Some(0), Some(4), Some(8)] {
-            if threads == 1 && margin.is_none() {
-                continue;
-            }
-            let r = run(threads, margin);
-            let label = format!("{threads} threads, margin {margin:?}");
-            assert_eq!(base.num_segments, r.num_segments, "{label}");
-            assert_eq!(base.iterations, r.iterations, "{label}");
-            assert_eq!(base.net_lengths, r.net_lengths, "{label}");
+    // Baseline: single-threaded. Every thread count must reproduce it bit
+    // for bit.
+    let base = run(1);
+    for threads in [2, 8] {
+        let r = run(threads);
+        let label = format!("{threads} threads");
+        assert_eq!(base.num_segments, r.num_segments, "{label}");
+        assert_eq!(base.iterations, r.iterations, "{label}");
+        assert_eq!(base.net_lengths, r.net_lengths, "{label}");
+        assert_eq!(
+            base.metrics.rc.to_bits(),
+            r.metrics.rc.to_bits(),
+            "rc differs at {label}"
+        );
+        assert_eq!(
+            base.metrics.total_overflow.to_bits(),
+            r.metrics.total_overflow.to_bits(),
+            "overflow differs at {label}"
+        );
+        assert_eq!(
+            base.metrics.total_usage.to_bits(),
+            r.metrics.total_usage.to_bits(),
+            "usage differs at {label}"
+        );
+        for (a, b) in base.grid.edge_ids().zip(r.grid.edge_ids()) {
             assert_eq!(
-                base.metrics.rc.to_bits(),
-                r.metrics.rc.to_bits(),
-                "rc differs at {label}"
+                base.grid.usage(a).to_bits(),
+                r.grid.usage(b).to_bits(),
+                "edge usage differs at {label}"
             );
             assert_eq!(
-                base.metrics.total_overflow.to_bits(),
-                r.metrics.total_overflow.to_bits(),
-                "overflow differs at {label}"
+                base.grid.history(a).to_bits(),
+                r.grid.history(b).to_bits(),
+                "edge history differs at {label}"
             );
-            assert_eq!(
-                base.metrics.total_usage.to_bits(),
-                r.metrics.total_usage.to_bits(),
-                "usage differs at {label}"
-            );
-            for (a, b) in base.grid.edge_ids().zip(r.grid.edge_ids()) {
-                assert_eq!(
-                    base.grid.usage(a).to_bits(),
-                    r.grid.usage(b).to_bits(),
-                    "edge usage differs at {label}"
-                );
-                assert_eq!(
-                    base.grid.history(a).to_bits(),
-                    r.grid.history(b).to_bits(),
-                    "edge history differs at {label}"
-                );
-            }
         }
     }
 }
