@@ -25,7 +25,11 @@
 //!    transformed with the fixed-radix FFT, scaled by `1/k²`, multiplied
 //!    by the spectral derivative, and transformed back. Both field
 //!    components come out of a single packed inverse transform
-//!    (`ifft(Ex_hat + i·Ey_hat)`), which halves the FFT count.
+//!    (`ifft(Ex_hat + i·Ey_hat)`), which halves the FFT count. The
+//!    forward transform row-transforms only the top half of the extended
+//!    grid (the bottom half mirrors it), and the inverse column pass stops
+//!    after the `nx` columns the field is read from; both shortcuts keep
+//!    every bit of the full transforms.
 //! 4. **Force gather** — each member's gradient is `−q·E` with the field
 //!    averaged over the bins it overlaps (overlap-weighted), parallel over
 //!    member chunks, then scattered in ascending member order.
@@ -208,21 +212,20 @@ impl ElectroScratch {
                 }
                 let slack = (target[i] - density[i]).max(0.0);
                 let rho = over - slack * bg_scale - uniform_bg;
-                // Mirror the charge into all four quadrants (even
-                // extension ⇒ Neumann boundary at the die walls).
+                // Mirror the charge across the right die wall (even
+                // extension ⇒ Neumann boundary at the die walls). The
+                // bottom half would mirror the top half, so it is left
+                // unwritten: `forward_mirrored` never reads it.
                 let (bx, by) = (i % nx, i / nx);
-                let (mx, my) = (ext_nx - 1 - bx, 2 * ny - 1 - by);
                 self.ext_re[by * ext_nx + bx] = rho;
-                self.ext_re[by * ext_nx + mx] = rho;
-                self.ext_re[my * ext_nx + bx] = rho;
-                self.ext_re[my * ext_nx + mx] = rho;
+                self.ext_re[by * ext_nx + ext_nx - 1 - bx] = rho;
             }
-            self.ext_im.iter_mut().for_each(|v| *v = 0.0);
+            self.ext_im[..2 * nbins].fill(0.0);
         }
 
         // Poisson solve: forward FFT, spectral scaling, packed inverse.
-        let fft = self.fft.as_mut().expect("spectral state initialized");
-        fft.forward(&mut self.ext_re, &mut self.ext_im, par);
+        let fft = self.fft.as_ref().expect("spectral state initialized");
+        fft.forward_mirrored(&mut self.ext_re, &mut self.ext_im, par);
         // φ̂ = ρ̂/k²; Ê = −i·k·φ̂; packed C = Êx + i·Êy = φ̂·(ky − i·kx).
         for jy in 0..2 * ny {
             let (kyd, k2y) = (self.kdy[jy], self.k2y[jy]);
@@ -242,7 +245,8 @@ impl ElectroScratch {
                 self.ext_im[idx] = s * (rim * kyd - rre * kxd);
             }
         }
-        fft.inverse(&mut self.ext_re, &mut self.ext_im, par);
+        // Only the original `nx × ny` quadrant of the field is read.
+        fft.inverse_leading_cols(&mut self.ext_re, &mut self.ext_im, nx, par);
         for by in 0..ny {
             for bx in 0..nx {
                 let ei = by * ext_nx + bx;

@@ -98,6 +98,35 @@ fn fault_free_run_matches_golden_bits_at_every_thread_count() {
     }
 }
 
+/// Golden bitwise result of the ePlace-style path (Nesterov over the FFT
+/// electrostatic density model), recorded before the transpose-free FFT
+/// rewrite: the spectral Poisson solve must keep every output bit, so a
+/// shift here without an intended algorithmic change is a regression in
+/// the FFT or the electrostatic kernel, not a constant to refresh.
+const GOLDEN_ELECTRO_SEED44: u64 = 0x40cf59f5b220cf28;
+
+#[test]
+fn electrostatic_run_matches_golden_bits_at_every_thread_count() {
+    for threads in [1usize, 2, 8] {
+        let b = bench("pe", 44);
+        let opts = PlaceOptions::fast()
+            .with_solver(rdp_core::GpSolver::Nesterov, rdp_core::GpDensityModel::Electrostatic)
+            .with_threads(threads);
+        let result = Placer::new(&b.design, opts)
+            .with_initial(b.placement.clone())
+            .run()
+            .unwrap();
+        assert_eq!(
+            result.hpwl.to_bits(),
+            GOLDEN_ELECTRO_SEED44,
+            "electrostatic seed 44 at {threads} threads: hpwl {} (0x{:016x})",
+            result.hpwl,
+            result.hpwl.to_bits()
+        );
+        assert!(result.degraded.is_none(), "clean run reported degradation");
+    }
+}
+
 #[test]
 fn zero_router_budget_falls_back_to_estimator() {
     let b = congested_bench("rz", 8);

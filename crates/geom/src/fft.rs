@@ -6,14 +6,27 @@
 //! lengths only) iterative Cooley–Tukey FFT whose butterfly order is a pure
 //! function of the transform length: every addition happens in exactly the
 //! same sequence on every run, at every thread count. There is no SIMD
-//! dispatch, no runtime plan tuning, and no heap traffic after construction
-//! — a [`Fft`] is a precomputed twiddle/bit-reversal table.
+//! dispatch and no runtime plan tuning. A [`Fft`] is a precomputed
+//! bit-reversal table plus one contiguous twiddle table per butterfly
+//! stage; a 1-D transform never allocates, and a parallel 2-D pass
+//! allocates only its per-chunk lists of slice handles, never a grid-sized
+//! buffer.
 //!
 //! The 2-D transform ([`Fft2`]) factors into independent row and column
-//! passes. Rows (and, after an explicit transpose, columns) are transformed
-//! in parallel over fixed row chunks; since each 1-D transform touches only
-//! its own row, the parallelism cannot change any floating-point result —
-//! the thread count only changes wall-clock time.
+//! passes over the row-major grid, both in place. The row pass transforms
+//! fixed chunks of whole rows in parallel. The column pass runs the same
+//! butterflies on whole row segments: for each butterfly pair of rows,
+//! every column of a fixed column chunk goes through the same scalar
+//! operations in the same order, so the loop vectorizes across columns.
+//! Each 1-D transform touches only its own row or column, so parallelism
+//! cannot change any floating-point result — the thread count only changes
+//! wall-clock time.
+//!
+//! Two pruned variants serve the Poisson solve of a mirror-extended grid:
+//! [`Fft2::forward_mirrored`] transforms only the top half of the rows
+//! when each row equals its mirror row, and [`Fft2::inverse_leading_cols`]
+//! stops the inverse column pass after the columns the caller reads. Both
+//! produce the same bits as the full transform wherever they define output.
 //!
 //! # Examples
 //!
@@ -31,11 +44,18 @@
 //! ```
 
 use crate::parallel::{chunk_spans, chunked_map_parts, split_at_spans, Parallelism};
+use std::ops::Range;
 
-/// Rows per parallel chunk of a 2-D pass. Fixed (never derived from the
+/// Rows per parallel chunk of a row pass. Fixed (never derived from the
 /// thread count) so the partition is canonical; it only gates scheduling,
 /// never values — each row's transform is independent.
 const ROW_CHUNK: usize = 16;
+
+/// Columns per parallel chunk of a column pass, fixed for the same reason.
+/// Narrower chunks (16–64 columns), which would let workers split a
+/// 128-wide grid, measured slower than one 128-column chunk at 2 threads
+/// on a 2-vCPU host (DESIGN.md §11).
+const COL_CHUNK: usize = 128;
 
 /// A precomputed radix-2 FFT plan for one power-of-two length.
 #[derive(Debug, Clone)]
@@ -43,9 +63,14 @@ pub struct Fft {
     n: usize,
     /// Bit-reversal permutation of `0..n`.
     rev: Vec<u32>,
-    /// Twiddle factors `exp(-2πi·j/n)` for `j in 0..n/2`.
-    tw_re: Vec<f64>,
-    tw_im: Vec<f64>,
+    /// Per-stage twiddles, stages concatenated: the stage with half-block
+    /// size `h` occupies `h−1..2h−1` and holds `exp(−2πi·j/(2h))` for
+    /// `j in 0..h`, read as the entries `j·n/(2h)` of the full length-`n`
+    /// table so every stage sees the same doubles.
+    w_re: Vec<f64>,
+    w_im: Vec<f64>,
+    /// `−w_im`: the conjugate twiddles of the inverse transform.
+    w_im_conj: Vec<f64>,
 }
 
 impl Fft {
@@ -65,14 +90,23 @@ impl Fft {
         if n == 1 {
             rev[0] = 0;
         }
-        let mut tw_re = Vec::with_capacity(n / 2);
-        let mut tw_im = Vec::with_capacity(n / 2);
-        for j in 0..n / 2 {
-            let ang = -2.0 * std::f64::consts::PI * j as f64 / n as f64;
-            tw_re.push(ang.cos());
-            tw_im.push(ang.sin());
+        let (tw_re, tw_im): (Vec<f64>, Vec<f64>) = (0..n / 2)
+            .map(|j| {
+                let ang = -2.0 * std::f64::consts::PI * j as f64 / n as f64;
+                (ang.cos(), ang.sin())
+            })
+            .unzip();
+        let mut w_re = Vec::with_capacity(n.saturating_sub(1));
+        let mut w_im = Vec::with_capacity(n.saturating_sub(1));
+        let mut half = 1usize;
+        while half < n {
+            let stride = n / (2 * half);
+            w_re.extend((0..half).map(|j| tw_re[j * stride]));
+            w_im.extend((0..half).map(|j| tw_im[j * stride]));
+            half *= 2;
         }
-        Fft { n, rev, tw_re, tw_im }
+        let w_im_conj = w_im.iter().map(|&v| -v).collect();
+        Fft { n, rev, w_re, w_im, w_im_conj }
     }
 
     /// Transform length.
@@ -80,7 +114,8 @@ impl Fft {
         self.n
     }
 
-    /// Whether the plan is the degenerate length-1 transform.
+    /// Always `false`: a plan's length is a power of two, so at least 1.
+    /// (Provided alongside [`Fft::len`] by convention.)
     pub fn is_empty(&self) -> bool {
         false
     }
@@ -111,11 +146,19 @@ impl Fft {
         }
     }
 
+    /// Twiddles of the stage with half-block size `half`.
+    fn stage(&self, half: usize, invert: bool) -> (&[f64], &[f64]) {
+        let span = half - 1..2 * half - 1;
+        let w_im = if invert { &self.w_im_conj } else { &self.w_im };
+        (&self.w_re[span.clone()], &w_im[span])
+    }
+
+    /// The row-axis kernel: bit-reversal reorder, then stages of half-block
+    /// size 1, 2, …, n/2, each over its blocks in ascending order.
     fn transform(&self, re: &mut [f64], im: &mut [f64], invert: bool) {
         let n = self.n;
         assert_eq!(re.len(), n, "re length mismatch");
         assert_eq!(im.len(), n, "im length mismatch");
-        // Bit-reversal reorder.
         for i in 0..n {
             let j = self.rev[i] as usize;
             if i < j {
@@ -123,51 +166,94 @@ impl Fft {
                 im.swap(i, j);
             }
         }
-        // Iterative butterflies: stage lengths 2, 4, …, n. The twiddle for
-        // butterfly offset `j` in a half-block of size `half` is table index
-        // `j · (n / (2·half))` — same table for every stage, canonical order.
         let mut half = 1usize;
         while half < n {
-            let stride = n / (2 * half);
-            let mut base = 0usize;
-            while base < n {
+            let (wr, wi) = self.stage(half, invert);
+            for (blk_re, blk_im) in re.chunks_exact_mut(2 * half).zip(im.chunks_exact_mut(2 * half))
+            {
+                let (ar, br) = blk_re.split_at_mut(half);
+                let (ai, bi) = blk_im.split_at_mut(half);
                 for j in 0..half {
-                    let (wr, wi) = {
-                        let wr = self.tw_re[j * stride];
-                        let wi = self.tw_im[j * stride];
-                        if invert {
-                            (wr, -wi)
-                        } else {
-                            (wr, wi)
-                        }
-                    };
-                    let a = base + j;
-                    let b = a + half;
-                    let tr = re[b] * wr - im[b] * wi;
-                    let ti = re[b] * wi + im[b] * wr;
-                    re[b] = re[a] - tr;
-                    im[b] = im[a] - ti;
-                    re[a] += tr;
-                    im[a] += ti;
+                    butterfly(&mut ar[j], &mut ai[j], &mut br[j], &mut bi[j], wr[j], wi[j]);
                 }
-                base += 2 * half;
             }
             half *= 2;
         }
     }
+
+    /// The column-axis kernel: transforms every column of a block whose
+    /// row `r` is `re[r]`/`im[r]` (equal-width segments of one column
+    /// range), including the `1/n` normalization when `invert`. Each column
+    /// sees exactly the operations of [`Fft::forward`]/[`Fft::inverse`];
+    /// the loop order only puts the columns innermost.
+    fn transform_cols<'a>(&self, re: &mut [&'a mut [f64]], im: &mut [&'a mut [f64]], invert: bool) {
+        let n = self.n;
+        assert_eq!(re.len(), n, "re row count mismatch");
+        assert_eq!(im.len(), n, "im row count mismatch");
+        for i in 0..n {
+            let j = self.rev[i] as usize;
+            if i < j {
+                swap_rows(re, i, j);
+                swap_rows(im, i, j);
+            }
+        }
+        let mut half = 1usize;
+        while half < n {
+            let (wr, wi) = self.stage(half, invert);
+            for (blk_re, blk_im) in re.chunks_exact_mut(2 * half).zip(im.chunks_exact_mut(2 * half))
+            {
+                let (lo_re, hi_re) = blk_re.split_at_mut(half);
+                let (lo_im, hi_im) = blk_im.split_at_mut(half);
+                for j in 0..half {
+                    let ar = &mut *lo_re[j];
+                    let w = ar.len();
+                    let br = &mut hi_re[j][..w];
+                    let ai = &mut lo_im[j][..w];
+                    let bi = &mut hi_im[j][..w];
+                    for x in 0..w {
+                        butterfly(&mut ar[x], &mut ai[x], &mut br[x], &mut bi[x], wr[j], wi[j]);
+                    }
+                }
+            }
+            half *= 2;
+        }
+        if invert {
+            let scale = 1.0 / n as f64;
+            for rows in [re, im] {
+                for v in rows.iter_mut().flat_map(|row| row.iter_mut()) {
+                    *v *= scale;
+                }
+            }
+        }
+    }
+}
+
+/// One radix-2 butterfly, `(a, b) ← (a + w·b, a − w·b)`, with the exact
+/// operation order both axis kernels share.
+#[inline(always)]
+fn butterfly(ar: &mut f64, ai: &mut f64, br: &mut f64, bi: &mut f64, wr: f64, wi: f64) {
+    let tr = *br * wr - *bi * wi;
+    let ti = *br * wi + *bi * wr;
+    *br = *ar - tr;
+    *bi = *ai - ti;
+    *ar += tr;
+    *ai += ti;
+}
+
+/// Swaps the contents of row segments `i < j` of a column block.
+fn swap_rows(rows: &mut [&mut [f64]], i: usize, j: usize) {
+    let (lo, hi) = rows.split_at_mut(j);
+    lo[i].swap_with_slice(hi[0]);
 }
 
 /// A 2-D FFT plan over an `nx × ny` row-major grid (`ny` rows of `nx`),
-/// with deterministic row-parallel execution.
+/// transformed in place with deterministic parallel row and column passes.
 #[derive(Debug, Clone)]
 pub struct Fft2 {
     nx: usize,
     ny: usize,
     row: Fft,
     col: Fft,
-    /// Transpose scratch (column pass runs as a row pass on the transpose).
-    t_re: Vec<f64>,
-    t_im: Vec<f64>,
 }
 
 impl Fft2 {
@@ -177,14 +263,7 @@ impl Fft2 {
     ///
     /// Panics unless both dimensions are powers of two.
     pub fn new(nx: usize, ny: usize) -> Self {
-        Fft2 {
-            nx,
-            ny,
-            row: Fft::new(nx),
-            col: Fft::new(ny),
-            t_re: vec![0.0; nx * ny],
-            t_im: vec![0.0; nx * ny],
-        }
+        Fft2 { nx, ny, row: Fft::new(nx), col: Fft::new(ny) }
     }
 
     /// Grid width (row length).
@@ -203,8 +282,10 @@ impl Fft2 {
     /// # Panics
     ///
     /// Panics if the buffers are not exactly `nx·ny` long.
-    pub fn forward(&mut self, re: &mut [f64], im: &mut [f64], par: &Parallelism) {
-        self.pass(re, im, par, false);
+    pub fn forward(&self, re: &mut [f64], im: &mut [f64], par: &Parallelism) {
+        self.check_len(re, im);
+        self.rows_pass(re, im, self.ny, false, par);
+        self.cols_pass(re, im, self.nx, false, par);
     }
 
     /// In-place inverse 2-D transform (with `1/(nx·ny)` normalization).
@@ -212,65 +293,129 @@ impl Fft2 {
     /// # Panics
     ///
     /// Panics if the buffers are not exactly `nx·ny` long.
-    pub fn inverse(&mut self, re: &mut [f64], im: &mut [f64], par: &Parallelism) {
-        self.pass(re, im, par, true);
+    pub fn inverse(&self, re: &mut [f64], im: &mut [f64], par: &Parallelism) {
+        self.inverse_leading_cols(re, im, self.nx, par);
     }
 
-    fn pass(&mut self, re: &mut [f64], im: &mut [f64], par: &Parallelism, invert: bool) {
+    /// [`Fft2::forward`] of a row-mirrored grid, one whose row `y` equals
+    /// row `ny−1−y`. Only the top `⌈ny/2⌉` input rows are read: they are
+    /// row-transformed and each result is copied to its mirror row before
+    /// the column pass, which gives the bits of the full transform of the
+    /// mirrored grid. The bottom input rows are overwritten unread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffers are not exactly `nx·ny` long.
+    pub fn forward_mirrored(&self, re: &mut [f64], im: &mut [f64], par: &Parallelism) {
+        self.check_len(re, im);
         let (nx, ny) = (self.nx, self.ny);
-        assert_eq!(re.len(), nx * ny, "re length mismatch");
-        assert_eq!(im.len(), nx * ny, "im length mismatch");
-        // Row pass over the natural layout.
-        rows_pass(&self.row, re, im, nx, ny, par, invert);
-        // Transpose, row pass (former columns), transpose back. The
-        // transposes are plain copies — order-independent, deterministic.
-        transpose(re, &mut self.t_re, nx, ny);
-        transpose(im, &mut self.t_im, nx, ny);
-        rows_pass(&self.col, &mut self.t_re, &mut self.t_im, ny, nx, par, invert);
-        transpose(&self.t_re, re, ny, nx);
-        transpose(&self.t_im, im, ny, nx);
-    }
-}
-
-/// Transforms every length-`nx` row of an `nx × ny` row-major buffer pair,
-/// in parallel over fixed chunks of whole rows.
-fn rows_pass(
-    plan: &Fft,
-    re: &mut [f64],
-    im: &mut [f64],
-    nx: usize,
-    ny: usize,
-    par: &Parallelism,
-    invert: bool,
-) {
-    let spans: Vec<_> = chunk_spans(ny, ROW_CHUNK)
-        .map(|r| r.start * nx..r.end * nx)
-        .collect();
-    let parts: Vec<_> = split_at_spans(re, &spans)
-        .into_iter()
-        .zip(split_at_spans(im, &spans))
-        .collect();
-    chunked_map_parts(par, parts, |_ci, part| {
-        let (re_rows, im_rows) = part;
-        for (rr, ri) in re_rows.chunks_exact_mut(nx).zip(im_rows.chunks_exact_mut(nx)) {
-            if invert {
-                plan.inverse(rr, ri);
-            } else {
-                plan.forward(rr, ri);
+        self.rows_pass(re, im, ny.div_ceil(2), false, par);
+        for y in 0..ny / 2 {
+            let m = ny - 1 - y;
+            for buf in [&mut *re, &mut *im] {
+                let (top, bottom) = buf.split_at_mut(m * nx);
+                bottom[..nx].copy_from_slice(&top[y * nx..(y + 1) * nx]);
             }
         }
-    });
+        self.cols_pass(re, im, nx, false, par);
+    }
+
+    /// [`Fft2::inverse`] whose column pass stops after columns `0..cols`:
+    /// those columns get the bits of the full inverse, the others hold
+    /// row-pass intermediates and must not be read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffers are not exactly `nx·ny` long or `cols > nx`.
+    pub fn inverse_leading_cols(
+        &self,
+        re: &mut [f64],
+        im: &mut [f64],
+        cols: usize,
+        par: &Parallelism,
+    ) {
+        self.check_len(re, im);
+        assert!(cols <= self.nx, "column count {cols} exceeds grid width {}", self.nx);
+        self.rows_pass(re, im, self.ny, true, par);
+        self.cols_pass(re, im, cols, true, par);
+    }
+
+    fn check_len(&self, re: &[f64], im: &[f64]) {
+        assert_eq!(re.len(), self.nx * self.ny, "re length mismatch");
+        assert_eq!(im.len(), self.nx * self.ny, "im length mismatch");
+    }
+
+    /// Transforms rows `0..rows` in parallel over fixed chunks of whole
+    /// rows.
+    fn rows_pass(
+        &self,
+        re: &mut [f64],
+        im: &mut [f64],
+        rows: usize,
+        invert: bool,
+        par: &Parallelism,
+    ) {
+        let nx = self.nx;
+        let spans: Vec<_> = chunk_spans(rows, ROW_CHUNK)
+            .map(|r| r.start * nx..r.end * nx)
+            .collect();
+        let parts: Vec<_> = split_at_spans(re, &spans)
+            .into_iter()
+            .zip(split_at_spans(im, &spans))
+            .collect();
+        chunked_map_parts(par, parts, |_ci, (re_rows, im_rows)| {
+            for (rr, ri) in re_rows.chunks_exact_mut(nx).zip(im_rows.chunks_exact_mut(nx)) {
+                if invert {
+                    self.row.inverse(rr, ri);
+                } else {
+                    self.row.forward(rr, ri);
+                }
+            }
+        });
+    }
+
+    /// Transforms columns `0..cols` in place, in parallel over fixed
+    /// column chunks of `COL_CHUNK`.
+    fn cols_pass(
+        &self,
+        re: &mut [f64],
+        im: &mut [f64],
+        cols: usize,
+        invert: bool,
+        par: &Parallelism,
+    ) {
+        let spans: Vec<_> = chunk_spans(cols, COL_CHUNK).collect();
+        let parts: Vec<_> = column_parts(re, self.nx, &spans)
+            .into_iter()
+            .zip(column_parts(im, self.nx, &spans))
+            .collect();
+        chunked_map_parts(par, parts, |_ci, (re_cols, im_cols)| {
+            self.col.transform_cols(re_cols, im_cols, invert);
+        });
+    }
 }
 
-/// Writes the transpose of `src` (`nx × ny`, row-major) into `dst`
-/// (`ny × nx`, row-major).
-fn transpose(src: &[f64], dst: &mut [f64], nx: usize, ny: usize) {
-    for y in 0..ny {
-        let row = &src[y * nx..(y + 1) * nx];
-        for (x, &v) in row.iter().enumerate() {
-            dst[x * ny + y] = v;
+/// Splits a row-major `nx`-wide buffer into one column block per span: the
+/// span's segment of every row, top to bottom. Allocates the per-span
+/// lists only, nothing per row. `spans` must be ascending and disjoint.
+fn column_parts<'a>(
+    data: &'a mut [f64],
+    nx: usize,
+    spans: &[Range<usize>],
+) -> Vec<Vec<&'a mut [f64]>> {
+    let rows = data.len() / nx;
+    let mut parts: Vec<Vec<&mut [f64]>> = spans.iter().map(|_| Vec::with_capacity(rows)).collect();
+    for mut row in data.chunks_exact_mut(nx) {
+        let mut offset = 0;
+        for (part, span) in parts.iter_mut().zip(spans) {
+            let (_, rest) = row.split_at_mut(span.start - offset);
+            let (seg, rest) = rest.split_at_mut(span.end - span.start);
+            part.push(seg);
+            row = rest;
+            offset = span.end;
         }
     }
+    parts
 }
 
 #[cfg(test)]
@@ -418,7 +563,7 @@ mod tests {
     #[test]
     fn fft2_round_trip_and_dc() {
         let (nx, ny) = (16, 8);
-        let mut plan = Fft2::new(nx, ny);
+        let plan = Fft2::new(nx, ny);
         let (re0, im0) = signal(nx * ny, 21);
         let (mut re, mut im) = (re0.clone(), im0.clone());
         plan.forward(&mut re, &mut im, &Parallelism::single());
@@ -434,7 +579,7 @@ mod tests {
     fn fft2_matches_row_column_dft() {
         let (nx, ny) = (8, 4);
         let (re0, im0) = signal(nx * ny, 33);
-        let mut plan = Fft2::new(nx, ny);
+        let plan = Fft2::new(nx, ny);
         let (mut re, mut im) = (re0.clone(), im0.clone());
         plan.forward(&mut re, &mut im, &Parallelism::single());
         // Oracle: DFT rows, then DFT columns.
@@ -462,7 +607,7 @@ mod tests {
         let (nx, ny) = (64, 128);
         let (re0, im0) = signal(nx * ny, 55);
         let run = |threads: usize| {
-            let mut plan = Fft2::new(nx, ny);
+            let plan = Fft2::new(nx, ny);
             let (mut re, mut im) = (re0.clone(), im0.clone());
             plan.forward(&mut re, &mut im, &Parallelism::new(threads));
             plan.inverse(&mut re, &mut im, &Parallelism::new(threads));

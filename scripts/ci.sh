@@ -38,6 +38,10 @@ BENCH_SCALE_BASELINE="${BENCH_SCALE_BASELINE:-BENCH_scale.json}" \
 # Solver A/B gate: CG+bell and Nesterov+electrostatic must both reach a
 # fully legal placement on a small design.
 run cargo run --release -p rdp-bench --bin bench_solver_ab -- --smoke
+# Kernel thread-invariance smoke: the wirelength, bell, electrostatic (FFT
+# Poisson) and congestion kernels must be bitwise identical at 1/2/4/8
+# threads on a generated design.
+run cargo run --release -p rdp-bench --bin bench_parallel -- --smoke
 # Estimator-ladder smoke: learned-tier thread invariance, the accuracy
 # gate of the checked-in weights on a fresh design (rank correlations vs
 # the routed truth must clear the gates stamped into the weight file),
