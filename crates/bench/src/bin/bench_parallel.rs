@@ -83,8 +83,7 @@ fn main() {
     let mut wl_sums = Vec::new();
     let mut row = KernelRow { name: "smooth_wl_grad", times: Vec::new() };
     for &t in &THREADS {
-        let mut par = Parallelism::new(t);
-        par.ensure_pool();
+        let par = Parallelism::new(t);
         row.times.push(time_min(reps, || {
             gx.iter_mut().for_each(|g| *g = 0.0);
             gy.iter_mut().for_each(|g| *g = 0.0);
@@ -104,8 +103,7 @@ fn main() {
     let mut den_sums = Vec::new();
     let mut row = KernelRow { name: "density_penalty_grad", times: Vec::new() };
     for &t in &THREADS {
-        let mut par = Parallelism::new(t);
-        par.ensure_pool();
+        let par = Parallelism::new(t);
         row.times.push(time_min(reps, || {
             gx.iter_mut().for_each(|g| *g = 0.0);
             gy.iter_mut().for_each(|g| *g = 0.0);
@@ -124,8 +122,7 @@ fn main() {
     let mut el_sums = Vec::new();
     let mut row = KernelRow { name: "electro_penalty_grad", times: Vec::new() };
     for &t in &THREADS {
-        let mut par = Parallelism::new(t);
-        par.ensure_pool();
+        let par = Parallelism::new(t);
         row.times.push(time_min(reps, || {
             gx.iter_mut().for_each(|g| *g = 0.0);
             gy.iter_mut().for_each(|g| *g = 0.0);
@@ -143,8 +140,7 @@ fn main() {
     let mut est_sums = Vec::new();
     let mut row = KernelRow { name: "estimate_congestion", times: Vec::new() };
     for &t in &THREADS {
-        let mut par = Parallelism::new(t);
-        par.ensure_pool();
+        let par = Parallelism::new(t);
         row.times.push(time_min(reps, || {
             estimate_congestion_par(&bench.design, &bench.placement, &par)
         }));

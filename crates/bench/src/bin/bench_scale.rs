@@ -180,8 +180,7 @@ fn main() {
         Err(_) => vec![10_000, 50_000, 100_000, 500_000, 1_000_000],
     };
     let cores = rdp_bench::detected_cores();
-    let mut par = Parallelism::auto();
-    par.ensure_pool();
+    let par = Parallelism::auto();
     let kernel_threads = par.effective_threads();
     let degraded = rdp_bench::warn_if_degraded("bench_scale", &par);
     let revision = rdp_bench::git_revision();

@@ -430,8 +430,7 @@ mod tests {
         let n = model.len();
         let gamma = 4.0;
         for threads in [1, 2, 8] {
-            let mut par = Parallelism::new(threads);
-            par.ensure_pool();
+            let par = Parallelism::new(threads);
             // Reference: standalone kernels in sequence.
             let mut ref_fields = build_fields(&model, &regions, &[], 16, 0.6);
             let mut ref_scratch = WlScratch::new();
@@ -487,8 +486,7 @@ mod tests {
         let n = model.len();
         let gamma = 4.0;
         for threads in [1, 2, 8] {
-            let mut par = Parallelism::new(threads);
-            par.ensure_pool();
+            let par = Parallelism::new(threads);
             let mut ref_fields = build_electro_fields(&model, &regions, &[], 16, 0.6);
             let mut ref_scratch = WlScratch::new();
             let (mut rwx, mut rwy) = grads(n);
@@ -541,8 +539,7 @@ mod tests {
         // Scratch reuse (the optimizer pattern) must not change results.
         let (model, regions) = toy_model(300);
         let n = model.len();
-        let mut par = Parallelism::new(4);
-        par.ensure_pool();
+        let par = Parallelism::new(4);
         let mut fields = build_fields(&model, &regions, &[], 16, 0.6);
         let mut scratch = WlScratch::new();
         let mut runs = Vec::new();

@@ -384,8 +384,7 @@ mod tests {
             pl.set_lower_left(&d, id, Point::new(x, y));
         }
         let run = |threads: usize| {
-            let mut par = rdp_geom::parallel::Parallelism::new(threads);
-            par.ensure_pool();
+            let par = rdp_geom::parallel::Parallelism::new(threads);
             let mut segs = build_segments(&d, &[]);
             let failed = assign_cells_par(&d, &pl, &mut segs, &par);
             (failed, segs)
@@ -413,8 +412,7 @@ mod tests {
             let y = rng.gen_range(0.0..200.0);
             pl.set_lower_left(&d, id, Point::new(x, y));
         }
-        let mut par = rdp_geom::parallel::Parallelism::new(8);
-        par.ensure_pool();
+        let par = rdp_geom::parallel::Parallelism::new(8);
         let mut banded = build_segments(&d, &[]);
         let fb = assign_cells_par(&d, &pl, &mut banded, &par);
         let mut global = build_segments(&d, &[]);

@@ -640,12 +640,7 @@ impl<'a> Placer<'a> {
     /// checkpoint that does not fit the design.
     pub fn run_resumable(self) -> Result<FlowProgress, PlaceError> {
         let design = self.design;
-        let mut opts = self.options;
-        // One persistent worker pool serves every parallel region in the
-        // flow (GP kernels, router, congestion estimation, legalization)
-        // instead of spawning fresh scoped threads per kernel call.
-        opts.gp.parallelism.ensure_pool();
-        let opts = opts;
+        let opts = self.options;
         let mut sink = self.checkpoint_sink;
         let cancel = self.cancel;
         let resume = self.resume;

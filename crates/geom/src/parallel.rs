@@ -17,24 +17,25 @@
 //! With that discipline, `threads = 1` and `threads = N` produce bitwise
 //! identical output; the thread count only changes wall-clock time.
 //!
-//! # Execution backends
+//! # Execution
 //!
-//! A [`Parallelism`] may carry a persistent [`WorkerPool`] handle
-//! (see [`Parallelism::ensure_pool`]). With a pool attached, dispatches park
-//! no threads and spawn none: resident workers sit on a condvar and are woken
-//! per job, which removes the per-call `std::thread::scope` spawn/join cost
-//! that dominated short gradient kernels (a global-placement run performs
-//! ~10³ gradient evaluations, each several dispatches). Without a pool the
-//! primitives fall back to scoped spawning, bitwise identically — the
-//! backend only changes *who* executes a chunk, never chunk geometry or
-//! merge order.
+//! Every [`Parallelism`] owns a lazily spawned worker pool, shared by its
+//! clones. The first dispatch that needs more than one participant spawns
+//! `effective_threads() − 1` resident workers; between dispatches they park
+//! on a condvar and are woken per job, so a global-placement run (~10³
+//! gradient evaluations, each several dispatches) pays the spawn cost once.
+//! A one-thread `Parallelism`, or a dispatch with a single chunk, never
+//! spawns a thread: the caller runs the claim loop alone, which then claims
+//! the chunks in index order. Which thread runs a chunk never changes chunk
+//! geometry or merge order, so the result is the same either way.
 //!
 //! The dispatching thread always participates in the claim loop itself, so
-//! a dispatch can never deadlock on a busy or smaller-than-requested pool;
-//! a nested dispatch (a chunk function invoking the pool again) degrades to
-//! inline execution on the caller. Worker panics are caught in the worker
-//! (which survives and returns to its parked state) and re-raised on the
-//! dispatching thread as `"parallel worker panicked at chunk N ..."`,
+//! a dispatch can never deadlock on a busy or smaller-than-requested pool:
+//! a nested dispatch (a chunk function invoking the pool again), or a
+//! dispatch racing another one on a clone of the same `Parallelism`, runs
+//! inline on its caller. Panics in a chunk or a worker's `init` are caught
+//! where they happen (pool workers survive and park again) and re-raised on
+//! the dispatching thread as `"parallel worker panicked at chunk N ..."`,
 //! attributing the failure to the chunk index and — when the dispatcher
 //! holds a [`DispatchLabel`] — the job that issued the dispatch, so a job
 //! server's logs can tie a kernel panic back to a job.
@@ -64,7 +65,7 @@ use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 thread_local! {
     /// Label attached to dispatches issued from this thread (see
@@ -179,7 +180,7 @@ struct PoolState {
     running: usize,
     /// Worker panics observed while executing the current job.
     panics: usize,
-    /// Dispatch in flight (nested dispatches degrade to inline execution).
+    /// Dispatch in flight (nested or concurrent dispatches run inline).
     busy: bool,
     /// Set once by `Drop`; workers exit when they observe it.
     shutdown: bool,
@@ -193,39 +194,24 @@ struct PoolShared {
     done_cv: Condvar,
 }
 
-/// A persistent pool of parked worker threads for deterministic chunked
-/// dispatch.
-///
-/// Workers are spawned once and live until the pool is dropped; between
-/// jobs they block on a condvar, so an idle pool costs nothing but memory.
-/// One pool serves a whole placement flow (it is carried inside
-/// [`Parallelism`] and shared by clone), replacing the per-kernel-call
-/// `std::thread::scope` spawn/join of the previous implementation.
-///
-/// Determinism: the pool only changes *which thread* runs a chunk. Chunk
-/// geometry, the atomic claim order independence, and the chunk-index-order
-/// merge are identical to the scoped-spawn backend, so results are bitwise
-/// identical with and without a pool, at every pool size.
-///
-/// Panic recovery: a panicking job chunk is caught inside the worker, which
-/// returns to its parked state — the pool remains fully usable. The panic
-/// is re-raised on the dispatching thread.
-pub struct WorkerPool {
+/// The resident workers behind a [`Parallelism`]: spawned once, parked on
+/// a condvar between jobs, joined when the last clone of the owning
+/// `Parallelism` drops. A panic escaping a job is caught inside the worker,
+/// which returns to its parked state, so the pool stays usable.
+struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    size: usize,
 }
 
 impl fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WorkerPool").field("size", &self.size).finish()
+        f.debug_struct("WorkerPool").field("size", &self.handles.len()).finish()
     }
 }
 
 impl WorkerPool {
-    /// Spawns a pool of `size` resident workers (0 is allowed: every
-    /// dispatch then runs entirely on the calling thread).
-    pub fn new(size: usize) -> Self {
+    /// Spawns a pool of `size` resident workers.
+    fn new(size: usize) -> Self {
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
                 epoch: 0,
@@ -245,12 +231,7 @@ impl WorkerPool {
                 std::thread::spawn(move || Self::worker(&shared))
             })
             .collect();
-        WorkerPool { shared, handles, size }
-    }
-
-    /// Number of resident workers.
-    pub fn size(&self) -> usize {
-        self.size
+        WorkerPool { shared, handles }
     }
 
     fn worker(shared: &PoolShared) {
@@ -290,23 +271,17 @@ impl WorkerPool {
     }
 
     /// Runs `job` on the calling thread plus up to `extra` pooled workers,
-    /// returning once **every** participant has returned from it. `job` is
-    /// expected to contain its own chunk-claim loop (see [`chunked_map`]),
-    /// so any subset of participants completes all work.
-    ///
-    /// A nested call (issued from inside a running job) executes `job`
-    /// inline on the caller only — correct because of the claim-loop
-    /// contract, and free of deadlock by construction.
+    /// returning once **every** participant has returned from it. `job`
+    /// contains its own chunk-claim loop, so any subset of participants
+    /// completes all work: while the pool is busy (a nested call from
+    /// inside a running job, or a concurrent call from another thread),
+    /// `job` simply runs inline on the caller.
     ///
     /// # Panics
     ///
     /// Re-raises a caller-side panic after all workers finished; raises
     /// `"parallel worker panicked"` when only workers panicked.
-    pub fn run(&self, extra: usize, job: &(dyn Fn() + Sync)) {
-        if extra == 0 || self.size == 0 {
-            job();
-            return;
-        }
+    fn run(&self, extra: usize, job: &(dyn Fn() + Sync)) {
         // Lifetime erasure: `job` only needs to outlive this call, and the
         // protocol below guarantees no worker touches it after we return.
         let erased = Job(unsafe {
@@ -317,8 +292,6 @@ impl WorkerPool {
         {
             let mut st = self.shared.state.lock().expect("worker pool poisoned");
             if st.busy {
-                // Nested dispatch from inside a running job: degrade to
-                // inline execution (the claim loop makes this correct).
                 drop(st);
                 job();
                 return;
@@ -326,7 +299,7 @@ impl WorkerPool {
             st.busy = true;
             st.epoch += 1;
             st.job = Some(erased);
-            st.slots = extra.min(self.size);
+            st.slots = extra.min(self.handles.len());
             st.panics = 0;
             self.shared.job_cv.notify_all();
         }
@@ -366,23 +339,24 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Worker-count configuration (plus an optional persistent pool handle),
-/// plumbed through `PlaceOptions` and `RouterConfig`.
+/// Worker-count configuration plus the worker pool it owns, plumbed
+/// through `PlaceOptions` and `RouterConfig`.
 ///
 /// The stored count is a *request*: `0` means "one worker per available
 /// CPU" resolved at execution time via
 /// [`std::thread::available_parallelism`]. Results never depend on the
 /// resolved count (see the module docs), so `auto` is safe as a default.
 ///
-/// Cloning is cheap (an `Arc` bump when a pool is attached) and shares the
-/// pool: the placer attaches one pool up front and every kernel dispatch in
-/// the flow reuses it. Equality compares only the configured thread count —
-/// two `Parallelism` values with the same count are interchangeable by the
-/// determinism contract, pool or not.
+/// The pool is spawned on the first dispatch that needs it and shared by
+/// every clone (cloning is an `Arc` bump), so one `Parallelism` handed to a
+/// whole flow serves every kernel dispatch in it with the same workers.
+/// Equality compares only the configured thread count — two `Parallelism`
+/// values with the same count are interchangeable by the determinism
+/// contract.
 #[derive(Debug, Clone, Default)]
 pub struct Parallelism {
     threads: usize,
-    pool: Option<Arc<WorkerPool>>,
+    pool: Arc<OnceLock<WorkerPool>>,
 }
 
 impl PartialEq for Parallelism {
@@ -396,20 +370,20 @@ impl Eq for Parallelism {}
 impl Parallelism {
     /// Exactly `threads` workers; `0` is the same as [`Parallelism::auto`].
     pub fn new(threads: usize) -> Self {
-        Parallelism { threads, pool: None }
+        Parallelism { threads, pool: Arc::default() }
     }
 
     /// Single-threaded: chunks run inline on the calling thread.
     pub fn single() -> Self {
-        Parallelism { threads: 1, pool: None }
+        Parallelism::new(1)
     }
 
     /// One worker per available CPU (resolved when work is executed).
     pub fn auto() -> Self {
-        Parallelism { threads: 0, pool: None }
+        Parallelism::new(0)
     }
 
-    /// [`Parallelism::new`] with a persistent pool already attached (see
+    /// [`Parallelism::new`] with its pool already spawned (see
     /// [`Parallelism::ensure_pool`]).
     pub fn with_pool(threads: usize) -> Self {
         let mut par = Parallelism::new(threads);
@@ -435,22 +409,30 @@ impl Parallelism {
         self.threads
     }
 
-    /// Attaches a persistent [`WorkerPool`] sized `effective_threads() - 1`
-    /// (the dispatching thread is the remaining participant). No-op when a
-    /// pool is already attached or when one effective thread makes a pool
-    /// pointless. Clones made afterwards share the pool.
+    /// Spawns the pool now instead of on the first multi-threaded dispatch,
+    /// e.g. to keep the spawn cost out of a timed region. No-op when the
+    /// pool already exists or one effective thread needs none. Never
+    /// changes what a dispatch computes.
     pub fn ensure_pool(&mut self) {
-        if self.pool.is_none() {
-            let n = self.effective_threads();
-            if n > 1 {
-                self.pool = Some(Arc::new(WorkerPool::new(n - 1)));
-            }
+        if self.effective_threads() > 1 {
+            self.pool();
         }
     }
 
-    /// The attached pool, if any.
-    pub fn pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
+    /// The shared pool, spawned with `effective_threads() − 1` workers on
+    /// first use (the dispatching thread is the remaining participant).
+    fn pool(&self) -> &WorkerPool {
+        self.pool.get_or_init(|| WorkerPool::new(self.effective_threads() - 1))
+    }
+
+    /// Runs `job` once on each of `participants` threads: the caller plus
+    /// `participants − 1` pooled workers. `job` contains its own claim loop.
+    fn execute(&self, participants: usize, job: &(dyn Fn() + Sync)) {
+        if participants > 1 {
+            self.pool().run(participants - 1, job);
+        } else {
+            job();
+        }
     }
 }
 
@@ -465,40 +447,20 @@ pub fn chunk_spans(len: usize, chunk: usize) -> impl ExactSizeIterator<Item = Ra
     (0..n).map(move |i| i * chunk..((i + 1) * chunk).min(len))
 }
 
-/// Executes `job` on `workers` participants total (the caller plus pooled
-/// or scoped helpers). `job` must contain its own claim loop; every
-/// participant simply calls it once.
-fn execute(par: &Parallelism, workers: usize, job: &(dyn Fn() + Sync)) {
-    debug_assert!(workers >= 2);
-    match &par.pool {
-        Some(pool) => pool.run(workers - 1, job),
-        None => {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (1..workers).map(|_| scope.spawn(job)).collect();
-                job();
-                for h in handles {
-                    h.join().expect("parallel worker panicked");
-                }
-            });
-        }
-    }
-}
-
 /// Runs `f(chunk_index)` for every chunk in `0..num_chunks` and returns the
 /// results **in chunk-index order**, regardless of which worker computed
 /// which chunk.
 ///
 /// With one effective thread (or one chunk) everything runs inline on the
-/// calling thread; otherwise participants claim chunk indices from a shared
-/// atomic counter — resident pool workers when `par` carries a pool, fresh
-/// scoped threads otherwise. `f` must be pure with respect to chunk index
-/// for the determinism guarantee to hold (it always is for the placement
-/// kernels: each chunk only reads immutable snapshots).
+/// calling thread; otherwise the caller and the pooled workers claim chunk
+/// indices from a shared atomic counter. `f` must be pure with respect to
+/// chunk index for the determinism guarantee to hold (it always is for the
+/// placement kernels: each chunk only reads immutable snapshots).
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` (all participants are joined first; an
-/// attached pool survives and stays usable).
+/// Propagates a panic from `f` (all participants are joined first; the
+/// pool survives and stays usable).
 pub fn chunked_map<R, F>(par: &Parallelism, num_chunks: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -517,13 +479,15 @@ where
 /// or the determinism contract breaks; a search scratch that is fully
 /// re-initialized (cheaply, via epochs) per item qualifies.
 ///
+/// This is the one claim loop every `chunked_*` entry point runs on.
+///
 /// # Panics
 ///
 /// A panic from `init` or `f` is re-raised on the dispatching thread as
-/// `"parallel worker panicked at chunk N ..."` — including the failing
-/// chunk index and, when the dispatcher holds a [`DispatchLabel`], the job
-/// id — after all participants are joined (an attached pool survives and
-/// stays usable).
+/// `"parallel worker panicked at chunk N ..."` (or `"... during worker
+/// init ..."`) — including, when the dispatcher holds a [`DispatchLabel`],
+/// the job id — after all participants are joined, at every thread count
+/// (the pool survives and stays usable).
 pub fn chunked_map_with<S, R, I, F>(par: &Parallelism, num_chunks: usize, init: I, f: F) -> Vec<R>
 where
     R: Send,
@@ -533,56 +497,37 @@ where
     if num_chunks == 0 {
         return Vec::new();
     }
-    let workers = par.effective_threads().min(num_chunks);
-    if workers <= 1 {
-        let mut state = init();
-        let mut out = Vec::with_capacity(num_chunks);
-        for i in 0..num_chunks {
-            match catch_unwind(AssertUnwindSafe(|| f(&mut state, i))) {
-                Ok(r) => out.push(r),
-                Err(payload) => raise_chunk_panic(ChunkPanic {
-                    chunk: Some(i),
-                    message: payload_message(payload.as_ref()),
-                }),
-            }
-        }
-        return out;
-    }
-
+    let participants = par.effective_threads().min(num_chunks);
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let failure: Mutex<Option<ChunkPanic>> = Mutex::new(None);
-    let sink: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(num_chunks));
+    let sink: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::new());
+    // Each participant runs this once. A lone participant claims every
+    // chunk in index order, so this is also the serial loop.
     let job = || {
         let mut state = match catch_unwind(AssertUnwindSafe(&init)) {
             Ok(s) => s,
-            Err(payload) => {
-                record_chunk_panic(&failure, &abort, None, payload);
-                return;
-            }
+            Err(payload) => return record_chunk_panic(&failure, &abort, None, payload),
         };
-        let mut local = Vec::new();
-        loop {
-            if abort.load(Ordering::Relaxed) {
-                break;
-            }
+        let mut local = Vec::with_capacity(num_chunks.div_ceil(participants));
+        while !abort.load(Ordering::Relaxed) {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= num_chunks {
                 break;
             }
             match catch_unwind(AssertUnwindSafe(|| f(&mut state, i))) {
                 Ok(r) => local.push((i, r)),
-                Err(payload) => {
-                    record_chunk_panic(&failure, &abort, Some(i), payload);
-                    break;
-                }
+                Err(payload) => return record_chunk_panic(&failure, &abort, Some(i), payload),
             }
         }
-        if !local.is_empty() {
-            sink.lock().expect("result sink poisoned").extend(local);
+        let mut sink = sink.lock().expect("result sink poisoned");
+        if sink.is_empty() {
+            *sink = local;
+        } else {
+            sink.extend(local);
         }
     };
-    execute(par, workers, &job);
+    par.execute(participants, &job);
     if let Some(fail) = failure.into_inner().expect("panic record poisoned") {
         raise_chunk_panic(fail);
     }
@@ -632,16 +577,15 @@ pub fn split_at_spans<'a, T>(mut data: &'a mut [T], spans: &[Range<usize>]) -> V
 /// workers write their chunk's results directly into the shared output
 /// buffer — disjointly, hence without locks on the hot path.
 ///
-/// The scheduling mirrors [`chunked_map`]: chunk boundaries are fixed by
-/// the caller, participants claim indices from an atomic counter, and
-/// results come back in canonical order. Since each worker writes only
-/// through its own part, output contents are bitwise independent of the
-/// thread count.
+/// The scheduling is [`chunked_map`]'s: chunk boundaries are fixed by the
+/// caller, participants claim indices from an atomic counter, and results
+/// come back in canonical order. Since each worker writes only through its
+/// own part, output contents are bitwise independent of the thread count.
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` (all participants are joined first; an
-/// attached pool survives and stays usable).
+/// Propagates a panic from `f` (all participants are joined first; the
+/// pool survives and stays usable).
 pub fn chunked_map_parts<P, R, F>(par: &Parallelism, parts: Vec<P>, f: F) -> Vec<R>
 where
     P: Send,
@@ -658,8 +602,8 @@ where
 /// # Panics
 ///
 /// A panic from `init` or `f` is re-raised with chunk/job attribution
-/// (see [`chunked_map_with`]) after all participants are joined; an
-/// attached pool survives and stays usable.
+/// (see [`chunked_map_with`]) after all participants are joined; the pool
+/// survives and stays usable.
 pub fn chunked_map_parts_with<P, S, R, I, F>(
     par: &Parallelism,
     parts: Vec<P>,
@@ -672,76 +616,21 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &mut P) -> R + Sync,
 {
-    let num_chunks = parts.len();
-    if num_chunks == 0 {
-        return Vec::new();
-    }
-    let workers = par.effective_threads().min(num_chunks);
-    if workers <= 1 {
-        let mut state = init();
-        let mut out = Vec::with_capacity(num_chunks);
-        for (i, mut p) in parts.into_iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| f(&mut state, i, &mut p))) {
-                Ok(r) => out.push(r),
-                Err(payload) => raise_chunk_panic(ChunkPanic {
-                    chunk: Some(i),
-                    message: payload_message(payload.as_ref()),
-                }),
-            }
-        }
-        return out;
-    }
-
-    // One slot per part; a worker that claims chunk `i` takes sole
-    // ownership of part `i`. The mutexes are uncontended (each slot is
-    // locked exactly once) — they only exist to move the parts across the
-    // thread boundary safely.
+    // One slot per part; the participant that claims chunk `i` takes sole
+    // ownership of part `i`. Each slot is locked exactly once, so the
+    // mutexes are uncontended — they only move the parts across threads.
     let slots: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let failure: Mutex<Option<ChunkPanic>> = Mutex::new(None);
-    let sink: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(num_chunks));
-    let job = || {
-        let mut state = match catch_unwind(AssertUnwindSafe(&init)) {
-            Ok(s) => s,
-            Err(payload) => {
-                record_chunk_panic(&failure, &abort, None, payload);
-                return;
-            }
-        };
-        let mut local = Vec::new();
-        loop {
-            if abort.load(Ordering::Relaxed) {
-                break;
-            }
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= num_chunks {
-                break;
-            }
-            let mut part = slots[i]
-                .lock()
-                .expect("part slot poisoned")
-                .take()
-                .expect("part claimed twice");
-            match catch_unwind(AssertUnwindSafe(|| f(&mut state, i, &mut part))) {
-                Ok(r) => local.push((i, r)),
-                Err(payload) => {
-                    record_chunk_panic(&failure, &abort, Some(i), payload);
-                    break;
-                }
-            }
-        }
-        if !local.is_empty() {
-            sink.lock().expect("result sink poisoned").extend(local);
-        }
-    };
-    execute(par, workers, &job);
-    if let Some(fail) = failure.into_inner().expect("panic record poisoned") {
-        raise_chunk_panic(fail);
-    }
-    let mut tagged = sink.into_inner().expect("result sink poisoned");
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, r)| r).collect()
+    chunked_map_with(par, slots.len(), init, |state, i| {
+        let mut part =
+            slots[i].lock().expect("part slot poisoned").take().expect("part claimed twice");
+        f(state, i, &mut part)
+    })
+}
+
+/// One part of a [`fused_chunked_parts`] dispatch.
+enum Family<A, B> {
+    A(A),
+    B(B),
 }
 
 /// Runs **two independent part families in one parallel region**: every
@@ -767,7 +656,7 @@ where
 /// A panic from either family's `init` or body is re-raised with
 /// chunk/job attribution (the chunk index is the fused claim index over
 /// `0..a.len() + b.len()`; see [`chunked_map_with`]) after all
-/// participants are joined; an attached pool survives and stays usable.
+/// participants are joined; the pool survives and stays usable.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_chunked_parts<PA, SA, IA, FA, PB, SB, IB, FB>(
     par: &Parallelism,
@@ -786,91 +675,27 @@ pub fn fused_chunked_parts<PA, SA, IA, FA, PB, SB, IB, FB>(
     FB: Fn(&mut SB, usize, &mut PB) + Sync,
 {
     let na = parts_a.len();
-    let nb = parts_b.len();
-    let total = na + nb;
-    if total == 0 {
-        return;
-    }
-    let workers = par.effective_threads().min(total);
-    if workers <= 1 {
-        if na > 0 {
-            let mut sa = init_a();
-            for (i, mut p) in parts_a.into_iter().enumerate() {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| fa(&mut sa, i, &mut p))) {
-                    raise_chunk_panic(ChunkPanic {
-                        chunk: Some(i),
-                        message: payload_message(payload.as_ref()),
-                    });
-                }
-            }
-        }
-        if nb > 0 {
-            let mut sb = init_b();
-            for (i, mut p) in parts_b.into_iter().enumerate() {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| fb(&mut sb, i, &mut p))) {
-                    raise_chunk_panic(ChunkPanic {
-                        chunk: Some(na + i),
-                        message: payload_message(payload.as_ref()),
-                    });
-                }
-            }
-        }
-        return;
-    }
-
-    let slots_a: Vec<Mutex<Option<PA>>> =
-        parts_a.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let slots_b: Vec<Mutex<Option<PB>>> =
-        parts_b.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let failure: Mutex<Option<ChunkPanic>> = Mutex::new(None);
-    let job = || {
-        let mut sa: Option<SA> = None;
-        let mut sb: Option<SB> = None;
-        loop {
-            if abort.load(Ordering::Relaxed) {
-                break;
-            }
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= total {
-                break;
-            }
-            let step = if i < na {
-                let mut part = slots_a[i]
-                    .lock()
-                    .expect("part slot poisoned")
-                    .take()
-                    .expect("part claimed twice");
-                catch_unwind(AssertUnwindSafe(|| {
-                    fa(sa.get_or_insert_with(&init_a), i, &mut part)
-                }))
-            } else {
-                let j = i - na;
-                let mut part = slots_b[j]
-                    .lock()
-                    .expect("part slot poisoned")
-                    .take()
-                    .expect("part claimed twice");
-                catch_unwind(AssertUnwindSafe(|| {
-                    fb(sb.get_or_insert_with(&init_b), j, &mut part)
-                }))
-            };
-            if let Err(payload) = step {
-                record_chunk_panic(&failure, &abort, Some(i), payload);
-                break;
-            }
-        }
-    };
-    execute(par, workers, &job);
-    if let Some(fail) = failure.into_inner().expect("panic record poisoned") {
-        raise_chunk_panic(fail);
-    }
+    let parts: Vec<Family<PA, PB>> =
+        parts_a.into_iter().map(Family::A).chain(parts_b.into_iter().map(Family::B)).collect();
+    chunked_map_parts_with(
+        par,
+        parts,
+        || (None, None),
+        |(sa, sb): &mut (Option<SA>, Option<SB>), i, part| match part {
+            Family::A(p) => fa(sa.get_or_insert_with(&init_a), i, p),
+            Family::B(p) => fb(sb.get_or_insert_with(&init_b), i - na, p),
+        },
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pool a `Parallelism` has spawned so far, if any.
+    fn spawned(par: &Parallelism) -> Option<&WorkerPool> {
+        par.pool.get()
+    }
 
     #[test]
     fn chunk_spans_cover_everything_once() {
@@ -903,18 +728,13 @@ mod tests {
             });
             partials.iter().fold(0.0f64, |a, b| a + b)
         };
-        let baseline = run(&Parallelism::new(1));
+        let baseline = run(&Parallelism::single());
         for threads in [2, 4, 16] {
-            assert_eq!(
-                run(&Parallelism::new(threads)).to_bits(),
-                baseline.to_bits(),
-                "threads={threads}"
-            );
-            assert_eq!(
-                run(&Parallelism::with_pool(threads)).to_bits(),
-                baseline.to_bits(),
-                "pooled threads={threads}"
-            );
+            // The first run spawns the pool, the second reuses it.
+            let par = Parallelism::new(threads);
+            for rep in 0..2 {
+                assert_eq!(run(&par).to_bits(), baseline.to_bits(), "threads={threads} rep={rep}");
+            }
         }
     }
 
@@ -935,10 +755,11 @@ mod tests {
 
     #[test]
     fn more_threads_than_chunks_is_fine() {
-        let out = chunked_map(&Parallelism::new(64), 3, |i| i + 1);
-        assert_eq!(out, vec![1, 2, 3]);
-        let out = chunked_map(&Parallelism::with_pool(64), 3, |i| i + 1);
-        assert_eq!(out, vec![1, 2, 3]);
+        let par = Parallelism::new(64);
+        for _ in 0..2 {
+            let out = chunked_map(&par, 3, |i| i + 1);
+            assert_eq!(out, vec![1, 2, 3]);
+        }
     }
 
     #[test]
@@ -985,13 +806,14 @@ mod tests {
             let total = sums.iter().fold(0.0f64, |a, b| a + b);
             (out, total)
         };
-        let (base, base_total) = run(&Parallelism::new(1));
+        let (base, base_total) = run(&Parallelism::single());
         for threads in [2, 3, 8] {
-            for par in [Parallelism::new(threads), Parallelism::with_pool(threads)] {
+            let par = Parallelism::new(threads);
+            for rep in 0..2 {
                 let (out, total) = run(&par);
-                assert_eq!(total.to_bits(), base_total.to_bits(), "threads={threads}");
+                assert_eq!(total.to_bits(), base_total.to_bits(), "threads={threads} rep={rep}");
                 for (a, b) in base.iter().zip(&out) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
+                    assert_eq!(a.to_bits(), b.to_bits(), "threads={threads} rep={rep}");
                 }
             }
         }
@@ -1045,25 +867,31 @@ mod tests {
     }
 
     #[test]
-    fn pool_is_reused_across_dispatches_and_matches_scoped() {
-        let pooled = Parallelism::with_pool(4);
-        assert_eq!(pooled.pool().map(|p| p.size()), Some(3));
-        let scoped = Parallelism::new(4);
-        // A sequence of dispatches through ONE pool must match fresh scoped
-        // execution bitwise, call for call.
+    fn pool_is_reused_across_dispatches_and_matches_single() {
+        let reused = Parallelism::new(4);
+        assert!(spawned(&reused).is_none(), "no pool before the first dispatch");
+        // A sequence of dispatches through ONE pool must match both a fresh
+        // pool per call and the inline single-thread run, call for call.
+        let mut first_pool: Option<*const WorkerPool> = None;
         for round in 0..20usize {
-            let a = chunked_map(&pooled, 37 + round, |i| ((i * round) as f64).sqrt());
-            let b = chunked_map(&scoped, 37 + round, |i| ((i * round) as f64).sqrt());
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "round={round}");
+            let f = |i: usize| ((i * round) as f64).sqrt();
+            let a = chunked_map(&reused, 37 + round, f);
+            let b = chunked_map(&Parallelism::new(4), 37 + round, f);
+            let c = chunked_map(&Parallelism::single(), 37 + round, f);
+            let pool = spawned(&reused).expect("first dispatch spawns the pool");
+            assert_eq!(pool.handles.len(), 3);
+            assert_eq!(*first_pool.get_or_insert(pool), pool as *const _, "pool replaced");
+            assert_eq!(a.len(), c.len());
+            for ((x, y), z) in a.iter().zip(&b).zip(&c) {
+                assert_eq!(x.to_bits(), z.to_bits(), "round={round}");
+                assert_eq!(y.to_bits(), z.to_bits(), "round={round}");
             }
         }
     }
 
     #[test]
     fn pool_survives_worker_panic() {
-        let pooled = Parallelism::with_pool(4);
+        let pooled = Parallelism::new(4);
         let boom = catch_unwind(AssertUnwindSafe(|| {
             chunked_map(&pooled, 16, |i| {
                 if i == 7 {
@@ -1088,7 +916,7 @@ mod tests {
 
     #[test]
     fn panic_message_names_chunk_and_job() {
-        let pooled = Parallelism::with_pool(4);
+        let pooled = Parallelism::new(4);
         let guard = DispatchLabel::enter("job-42");
         let msg = caught_message(catch_unwind(AssertUnwindSafe(|| {
             chunked_map(&pooled, 16, |i| {
@@ -1134,6 +962,30 @@ mod tests {
     }
 
     #[test]
+    fn init_panic_names_init_and_job_at_every_thread_count() {
+        let _guard = DispatchLabel::enter("init-job");
+        for threads in [1, 3] {
+            let par = Parallelism::new(threads);
+            let msg = caught_message(catch_unwind(AssertUnwindSafe(|| {
+                chunked_map_with(&par, 6, || -> usize { panic!("init boom") }, |_, i| i)
+            })));
+            assert!(msg.contains("parallel worker panicked during worker init"), "got: {msg}");
+            assert!(msg.contains("(job init-job)"), "threads={threads} got: {msg}");
+            assert!(msg.contains("init boom"), "threads={threads} got: {msg}");
+            let msg = caught_message(catch_unwind(AssertUnwindSafe(|| {
+                chunked_map_parts_with(
+                    &par,
+                    vec![(); 6],
+                    || -> usize { panic!("parts init boom") },
+                    |_, i, _| i,
+                )
+            })));
+            assert!(msg.contains("during worker init (job init-job)"), "got: {msg}");
+            assert!(msg.contains("parts init boom"), "threads={threads} got: {msg}");
+        }
+    }
+
+    #[test]
     fn dispatch_labels_nest_and_restore() {
         assert_eq!(DispatchLabel::current(), None);
         let outer = DispatchLabel::enter("outer");
@@ -1149,7 +1001,10 @@ mod tests {
 
     #[test]
     fn parts_panic_names_chunk() {
-        for par in [Parallelism::new(3), Parallelism::with_pool(3)] {
+        // A fresh pool, one pool reused across the panics, and inline.
+        let reused = Parallelism::new(3);
+        let pars = [Parallelism::new(3), reused.clone(), reused, Parallelism::single()];
+        for par in pars {
             let mut data = [0u32; 60];
             let spans: Vec<_> = chunk_spans(data.len(), 10).collect();
             let parts = split_at_spans(&mut data, &spans);
@@ -1168,7 +1023,7 @@ mod tests {
 
     #[test]
     fn nested_dispatch_degrades_to_inline() {
-        let pooled = Parallelism::with_pool(4);
+        let pooled = Parallelism::new(4);
         let inner_par = pooled.clone();
         let out = chunked_map(&pooled, 8, |i| {
             // A nested dispatch on the same (busy) pool must complete
@@ -1182,10 +1037,39 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_dispatches_on_clones_are_canonical() {
+        // Two threads dispatch at the same time on clones of one
+        // `Parallelism`: whichever finds the shared pool busy runs its
+        // claim loop inline. Both must get the canonical results.
+        let par = Parallelism::new(4);
+        let expect: Vec<f64> = chunked_map(&Parallelism::single(), 64, |i| (i as f64).ln_1p());
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let (par, start, expect) = (par.clone(), Arc::clone(&start), expect.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..200 {
+                        let out = chunked_map(&par, 64, |i| (i as f64).ln_1p());
+                        assert!(out.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits()));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("concurrent dispatcher failed");
+        }
+        assert_eq!(spawned(&par).map(|p| p.handles.len()), Some(3), "one pool for all clones");
+    }
+
+    #[test]
     fn clones_share_one_pool() {
-        let a = Parallelism::with_pool(3);
+        let a = Parallelism::new(3);
         let b = a.clone();
-        assert!(Arc::ptr_eq(a.pool().unwrap(), b.pool().unwrap()));
+        assert!(spawned(&a).is_none() && spawned(&b).is_none());
+        // A dispatch through one clone spawns the pool for both.
+        assert_eq!(chunked_map(&b, 6, |i| i), (0..6).collect::<Vec<_>>());
+        assert!(std::ptr::eq(spawned(&a).unwrap(), spawned(&b).unwrap()));
         // Equality ignores the pool handle.
         assert_eq!(a, Parallelism::new(3));
         assert_ne!(a, Parallelism::new(2));
@@ -1241,18 +1125,21 @@ mod tests {
             sep_a.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
         for threads in [2, 3, 8] {
-            for par in [Parallelism::new(threads), Parallelism::with_pool(threads)] {
+            // The first run spawns the pool, the second reuses it.
+            let par = Parallelism::new(threads);
+            for rep in 0..2 {
                 let (a, b) = run_fused(&par);
                 for (x, y) in a.iter().zip(&base_a) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
+                    assert_eq!(x.to_bits(), y.to_bits(), "threads={threads} rep={rep}");
                 }
-                assert_eq!(b, base_b, "threads={threads}");
+                assert_eq!(b, base_b, "threads={threads} rep={rep}");
             }
         }
     }
 
     #[test]
     fn fused_with_one_empty_family_runs_the_other() {
+        let b_inits = AtomicUsize::new(0);
         let mut out = vec![0usize; 10];
         let parts: Vec<_> = out.iter_mut().collect();
         fused_chunked_parts(
@@ -1261,18 +1148,50 @@ mod tests {
             || (),
             |(), i, slot| **slot = i + 1,
             Vec::<()>::new(),
-            || (),
-            |(), _, _| unreachable!(),
+            || b_inits.fetch_add(1, Ordering::Relaxed),
+            |_, _, _| unreachable!(),
         );
         assert_eq!(out, (1..=10).collect::<Vec<_>>());
+        assert_eq!(b_inits.load(Ordering::Relaxed), 0, "untouched family was initialized");
     }
 
     #[test]
-    fn single_thread_pool_runs_inline() {
-        let mut par = Parallelism::single();
-        par.ensure_pool();
-        assert!(par.pool().is_none(), "no pool needed for one thread");
-        let out = chunked_map(&par, 5, |i| i);
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
+    fn fused_panic_names_the_fused_index() {
+        // B indices restart at 0 inside `fb`; the panic names the index
+        // over `0..a.len() + b.len()`.
+        let msg = caught_message(catch_unwind(AssertUnwindSafe(|| {
+            fused_chunked_parts(
+                &Parallelism::new(4),
+                vec![(); 5],
+                || (),
+                |(), _, _| {},
+                vec![(); 5],
+                || (),
+                |(), j, _| assert!(j != 2, "b part {j}"),
+            )
+        })));
+        assert!(msg.contains("at chunk 7"), "got: {msg}");
+        assert!(msg.contains("b part 2"), "got: {msg}");
+    }
+
+    #[test]
+    fn one_participant_never_spawns_a_pool() {
+        let mut single = Parallelism::single();
+        single.ensure_pool();
+        assert!(spawned(&single).is_none(), "no pool needed for one thread");
+        assert_eq!(chunked_map(&single, 5, |i| i), vec![0, 1, 2, 3, 4]);
+        assert!(spawned(&single).is_none());
+        // One chunk means one participant, at any thread count.
+        let par = Parallelism::new(4);
+        assert_eq!(chunked_map(&par, 1, |i| i + 7), vec![7]);
+        assert_eq!(chunked_map_parts(&par, vec![3], |_, p| *p), vec![3]);
+        let noop = |(): &mut (), _: usize, _: &mut ()| {};
+        fused_chunked_parts(&par, vec![()], || (), noop, Vec::new(), || (), noop);
+        assert!(spawned(&par).is_none(), "a one-chunk dispatch spawned a pool");
+        // `ensure_pool` spawns eagerly; `with_pool` is `new` + `ensure_pool`.
+        let mut eager = par.clone();
+        eager.ensure_pool();
+        assert_eq!(spawned(&par).map(|p| p.handles.len()), Some(3));
+        assert_eq!(spawned(&Parallelism::with_pool(2)).map(|p| p.handles.len()), Some(1));
     }
 }

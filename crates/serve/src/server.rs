@@ -289,8 +289,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 fn worker_loop(inner: Arc<Inner>) {
-    // One persistent kernel pool per worker, reused across jobs and
-    // attempts: a panicking chunk must leave it usable for the next job.
+    // One persistent kernel pool per worker, reused by every flow and
+    // score across jobs and attempts: a panicking chunk must leave it
+    // usable for the next job.
     let pool = Parallelism::with_pool(inner.config.threads_per_job);
     while let Some(claim) = next_claim(&inner) {
         let id = claim.id;
@@ -415,9 +416,8 @@ fn attempt_body(inner: &Arc<Inner>, pool: &Parallelism, claim: &Claim, label: &s
         let remaining = deadline.saturating_sub(claim.submitted.elapsed());
         budget.flow_wall = Some(budget.flow_wall.map_or(remaining, |b| b.min(remaining)));
     }
-    let mut opts = PlaceOptions::fast()
-        .with_threads(inner.config.threads_per_job)
-        .with_budget(budget);
+    let mut opts = PlaceOptions::fast().with_budget(budget);
+    opts.gp.parallelism = pool.clone();
     if let Some(schedule) = &inner.config.estimator {
         opts = opts.with_estimator(schedule.clone());
     }
@@ -443,10 +443,12 @@ fn attempt_body(inner: &Arc<Inner>, pool: &Parallelism, claim: &Claim, label: &s
 
     match placer.run_resumable() {
         Ok(FlowProgress::Completed(result)) => {
-            let scaled = inner
-                .config
-                .score
-                .then(|| EvalSession::new(&bench.design).score(&result.placement).scaled_hpwl);
+            let scaled = inner.config.score.then(|| {
+                let session = EvalSession::new(&bench.design);
+                let mut router = session.router_config();
+                router.parallelism = pool.clone();
+                session.with_router_config(router).score(&result.placement).scaled_hpwl
+            });
             Outcome::Finished(result, scaled)
         }
         Ok(FlowProgress::Interrupted(_)) => Outcome::Interrupted,

@@ -29,6 +29,9 @@ run cargo clippy --workspace --all-targets -- -D warnings
 # workspace test above does not reach it: run its tests (every workload
 # at smoke scale, plus its correctness checks) explicitly.
 run cargo test --manifest-path rdpbench/Cargo.toml -q
+# The harness also builds against the library API (e.g. the parallel
+# layer's pool methods), so an API change must not leave it warning.
+run cargo clippy --manifest-path rdpbench/Cargo.toml --all-targets -- -D warnings
 # Fused-gradient regression gate: compare the smoke sweep against a
 # recorded baseline (default: the checked-in BENCH_scale.json). bench_scale
 # exits non-zero when the fused pass regresses >15% at equal thread count;

@@ -214,10 +214,11 @@ fn congestion_estimator_is_bitwise_identical_across_thread_counts() {
 
 /// A persistent worker pool must be a pure execution vehicle: running the
 /// same kernel sequence repeatedly through one reused pool yields exactly
-/// the bits of a fresh-scope (no-pool) run at the same thread count — and
-/// keeps doing so after a worker panic is caught and the pool recovers.
+/// the bits of a fresh pool's first run and of the inline single-thread
+/// run — and keeps doing so after a worker panic is caught and the pool
+/// recovers.
 #[test]
-fn reused_pool_matches_fresh_scope_bitwise() {
+fn reused_pool_matches_fresh_pool_bitwise() {
     use rdp::place::density::build_fields;
     use rdp::place::electrostatics::build_electro_fields;
     use rdp::place::model::Model;
@@ -249,17 +250,19 @@ fn reused_pool_matches_fresh_scope_bitwise() {
         (wl.to_bits(), stats.penalty.to_bits(), estats.penalty.to_bits(), bits)
     };
 
+    let single = sequence(&Parallelism::single());
     for threads in [1usize, 2, 8] {
-        // Fresh scope: no persistent pool attached.
+        // Fresh pool: spawned by the sequence's first dispatch.
         let fresh = sequence(&Parallelism::new(threads));
+        assert_eq!(fresh, single, "fresh pool differs from inline at {threads} threads");
 
         // One pool, reused across repetitions of the whole sequence.
-        let pooled = Parallelism::with_pool(threads);
+        let pooled = Parallelism::new(threads);
         for rep in 0..3 {
             assert_eq!(
                 fresh,
                 sequence(&pooled),
-                "pooled rep {rep} differs from fresh scope at {threads} threads"
+                "pooled rep {rep} differs from a fresh pool at {threads} threads"
             );
         }
 

@@ -295,8 +295,7 @@ fn band_parallel_legalization_matches_serial() {
         }
 
         let run = |threads: usize| {
-            let mut par = Parallelism::new(threads);
-            par.ensure_pool();
+            let par = Parallelism::new(threads);
             let mut pl = scattered.clone();
             let stats = legalize_with_displacement_par(design, &mut pl, &par);
             (stats, pl)
