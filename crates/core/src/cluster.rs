@@ -337,27 +337,21 @@ pub fn cluster_best_choice(
 /// clustering stops helping. Returns the levels coarse-to-fine-adjacent
 /// (`levels[0]` clusters the input model).
 pub fn build_levels(model: &Model, limit: usize) -> Vec<Clustering> {
-    let mut levels = Vec::new();
+    let mut levels: Vec<Clustering> = Vec::new();
     let avg_area = model.total_area() / model.len().max(1) as f64;
-    let mut current = model.clone();
-    let mut level = 0;
-    while current.len() > limit {
-        // Allow clusters to grow with depth.
-        let cap = avg_area * 4.0 * f64::powi(2.0, level);
-        let target = (current.len() / 3).max(limit);
-        match cluster_best_choice(&current, cap, target) {
-            Some(c) => {
-                current = c.coarse.clone();
-                levels.push(c);
-                level += 1;
-            }
-            None => break,
+    loop {
+        let current = levels.last().map_or(model, |c| &c.coarse);
+        if current.len() <= limit || levels.len() > 20 {
+            return levels;
         }
-        if level > 20 {
-            break;
+        // Allow clusters to grow with depth.
+        let cap = avg_area * 4.0 * f64::powi(2.0, levels.len() as i32);
+        let target = (current.len() / 3).max(limit);
+        match cluster_best_choice(current, cap, target) {
+            Some(c) => levels.push(c),
+            None => return levels,
         }
     }
-    levels
 }
 
 /// Projects coarse positions down one level: each fine object lands at its

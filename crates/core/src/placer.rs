@@ -2,6 +2,17 @@
 //! global placement (hierarchy-aware, with macro rotation) → routability
 //! optimization (congestion-driven inflation) → legalization → detailed
 //! placement.
+//!
+//! [`Placer::run_resumable`] runs the pipeline as a fixed list of stages —
+//! global placement, macro rotation, each routability round, legalization,
+//! detailed placement — through one driver, which alone owns the flow's
+//! cross-cutting policy: at every stage boundary it polls the cancel token
+//! (once a checkpoint exists) and drops a quality stage whose budget is
+//! spent; after every stage it books the stage time and saves the stage's
+//! checkpoint. Every global-placement solve goes through one helper that
+//! records a divergence, and each caller picks its policy: continue from
+//! the best iterate, or roll back to the latest checkpoint, which restores
+//! placement, density areas and completed rounds together.
 
 use crate::cluster::{build_levels, project_down};
 use crate::detail::{detailed_place, DetailOptions, DetailStats};
@@ -10,12 +21,16 @@ use crate::legalize::{legalize_with_displacement_par, LegalizeStats};
 use crate::macro_handling::optimize_macro_orientations;
 use crate::model::Model;
 use crate::optimizer::{run_global_place, GpOptions, GpOutcome};
-use crate::recovery::{BudgetClock, DegradedResult, FlowBudget, FlowCheckpoint, RecoveryEvent};
+use crate::recovery::{
+    BudgetClock, DegradedResult, Diverged, FlowBudget, FlowCheckpoint, RecoveryEvent,
+};
 use crate::trace::Trace;
-use rdp_db::{Design, NodeId, Placement, Region};
+use rdp_db::{Design, NodeId, Placement};
 use rdp_geom::Rect;
+use rdp_route::pattern::estimate_congestion_into;
 use rdp_route::{GlobalRouter, RouteGrid, RouterConfig, RoutingOutcome};
 use std::fmt;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// Error cases of [`Placer::run`].
@@ -600,12 +615,13 @@ impl<'a> Placer<'a> {
         self
     }
 
-    /// Attaches a cooperative cancel token, polled at stage boundaries
-    /// (never mid-kernel). When it reads `true`, [`Placer::run_resumable`]
-    /// returns [`FlowProgress::Interrupted`] with the latest checkpoint.
-    /// Because resume is bitwise-exact, the nondeterministic *timing* of a
-    /// cancellation never changes the final placement — only where the
-    /// work pauses.
+    /// Attaches a cooperative cancel token, polled at every stage boundary
+    /// once a checkpoint exists (never mid-kernel): a token raised during a
+    /// stage, or from the checkpoint sink, stops the run at that stage's
+    /// checkpoint, which [`Placer::run_resumable`] returns as
+    /// [`FlowProgress::Interrupted`]. Because resume is bitwise-exact, the
+    /// nondeterministic *timing* of a cancellation never changes the final
+    /// placement — only where the work pauses.
     pub fn with_cancel(
         mut self,
         token: std::sync::Arc<std::sync::atomic::AtomicBool>,
@@ -628,10 +644,11 @@ impl<'a> Placer<'a> {
         }
     }
 
-    /// Runs the full pipeline with cancellation and resume support: the
-    /// cancel token (see [`Placer::with_cancel`]) is polled at stage
-    /// boundaries and stops the run at its latest checkpoint, which a
-    /// later [`Placer::resume_from`] continues bitwise-exactly (in
+    /// Runs the full pipeline (the stage list of the module docs) with
+    /// cancellation and resume support: the cancel token (see
+    /// [`Placer::with_cancel`]) stops the run at its latest checkpoint, and
+    /// a later [`Placer::resume_from`] starts at the first stage that
+    /// checkpoint does not cover, continuing bitwise-exactly (in
     /// estimator-congestion mode).
     ///
     /// # Errors
@@ -641,9 +658,6 @@ impl<'a> Placer<'a> {
     pub fn run_resumable(self) -> Result<FlowProgress, PlaceError> {
         let design = self.design;
         let opts = self.options;
-        let mut sink = self.checkpoint_sink;
-        let cancel = self.cancel;
-        let resume = self.resume;
         let t_start = Instant::now();
 
         if design.movable_ids().next().is_none() {
@@ -653,668 +667,597 @@ impl<'a> Placer<'a> {
         if has_cells && design.rows().is_empty() {
             return Err(PlaceError::NoRows);
         }
-
-        // A resume checkpoint must structurally fit this design and be
-        // finite — anything else is a caller error (wrong design, corrupt
-        // file), not a recoverable flow state.
-        if let Some(cp) = &resume {
-            let num_objects = design.movable_ids().count();
-            if cp.placement.len() != design.nodes().len() {
-                return Err(PlaceError::BadResume {
-                    reason: format!(
-                        "checkpoint has {} nodes, design has {}",
-                        cp.placement.len(),
-                        design.nodes().len()
-                    ),
-                });
-            }
-            if cp.density_area.len() != num_objects {
-                return Err(PlaceError::BadResume {
-                    reason: format!(
-                        "checkpoint has {} density areas, design has {} movable objects",
-                        cp.density_area.len(),
-                        num_objects
-                    ),
-                });
-            }
-            if cp.placement.centers().iter().any(|c| !c.is_finite())
-                || cp.density_area.iter().any(|a| !a.is_finite())
-            {
-                return Err(PlaceError::BadResume {
-                    reason: "checkpoint contains non-finite state".into(),
-                });
-            }
+        if let Some(cp) = &self.resume {
+            check_fits(design, cp)?;
         }
 
-        let resuming = resume.is_some();
-        let mut placement = match &resume {
+        // A resumed run restarts *after* global placement, so the jitter
+        // (an input of the GP stage) is not re-applied.
+        let placement = match &self.resume {
             Some(cp) => cp.placement.clone(),
-            None => self.initial.unwrap_or_else(|| Placement::new_centered(design)),
+            None => jittered(design, self.initial, opts.seed)?,
         };
-        let mut trace = Trace::new();
-
-        // Symmetry-breaking jitter around the initial positions. A resumed
-        // run restarts *after* global placement, so jitter (an input of the
-        // GP stage) must not be re-applied.
-        if !resuming {
-            let mut rng = rdp_geom::rng::Rng::seed_from_u64(opts.seed);
-            let die = design.die();
-            let jx = die.width() * 0.05;
-            let jy = die.height() * 0.05;
-            for id in design.movable_ids() {
-                let c = placement.center(id);
-                let p = rdp_geom::Point::new(
-                    rdp_geom::clamp(c.x + rng.gen_range(-jx..jx), die.xl, die.xh),
-                    rdp_geom::clamp(c.y + rng.gen_range(-jy..jy), die.yl, die.yh),
-                );
-                placement.set_center(id, p);
-            }
-
-            // The resilience layer has nothing to roll back to before the
-            // first GP stage completes, so a non-finite *initial* placement
-            // is the one divergence that surfaces as a hard error.
-            if design
-                .node_ids()
-                .any(|id| !placement.center(id).is_finite())
-            {
-                return Err(PlaceError::Diverged { stage: "initial".into(), retries: 0 });
-            }
-        }
-
         let blocked: Vec<(Rect, f64)> = design
             .node_ids()
             .filter(|&id| design.node(id).kind() == rdp_db::NodeKind::Fixed)
             .flat_map(|id| design.blocking_rects(id, &placement))
             .map(|r| (r, 1.0))
             .collect();
-        let gp_regions: &[Region] = if opts.hierarchy_aware { design.regions() } else { &[] };
-
         // The model is fully derivable from (design, placement) except for
         // the density areas, which cell inflation mutates cumulatively —
         // those are restored from the checkpoint on resume.
         let mut model = Model::from_design(design, &placement);
-        if let Some(cp) = &resume {
+        if let Some(cp) = &self.resume {
             model.area.copy_from_slice(&cp.density_area);
         }
-        let mut gp_outcome;
-
-        // Resilience state: the first degraded stage (drives the
-        // [`DegradedResult`] report), the checkpoint restored from (if
-        // any), the latest feasible checkpoint, and the flow-wide budget.
-        let mut degraded_stage: Option<String> = None;
-        let mut restored_from: Option<String> = None;
-        let resume_at_legalize = resume.as_ref().is_some_and(|cp| cp.legal);
-        let start_round = resume.as_ref().map_or(0, |cp| cp.rounds_done);
-        let mut rounds_done = start_round;
-        let resume_gp = resume.as_ref().map(|cp| cp.gp);
-        let mut checkpoint: Option<FlowCheckpoint> = resume;
-        let flow_clock = BudgetClock::new(opts.budget.flow_wall);
-        let cancelled = || {
-            cancel
-                .as_ref()
-                .is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed))
+        // Resume position: a legal checkpoint has only detailed placement
+        // left, any other one re-enters the rounds at `rounds_done`.
+        let first = match &self.resume {
+            Some(cp) if cp.legal => Stage::Detailed,
+            Some(cp) => Stage::Inflate(cp.rounds_done),
+            None => Stage::GlobalPlace,
         };
+        let stages: Vec<Stage> = Stage::list(&opts).into_iter().filter(|&s| s >= first).collect();
 
-        if let Some(gp) = resume_gp {
-            // Resumed run: global placement (and macro rotation) already
-            // completed in the checkpointed run; the checkpoint placement
-            // and restored density areas carry their full effect.
-            gp_outcome = gp;
-        } else {
-            // --- Multilevel V-cycle (downward refinement half). ---
-            let t_gp = Instant::now();
-            if opts.multilevel {
-                let levels = build_levels(&model, opts.cluster_limit);
-                if let Some(coarsest) = levels.last() {
-                    let mut coarse = coarsest.coarse.clone();
-                    let coarse_opts = GpOptions {
-                        max_outer: opts.gp.max_outer / 2 + 2,
-                        ..opts.gp.clone()
-                    };
-                    // Coarse-level divergence is non-fatal: the level only
-                    // provides a warm start, and the model is left at its
-                    // last finite iterate either way.
-                    if let Err(div) = run_global_place(
-                        &mut coarse,
-                        gp_regions,
-                        &blocked,
-                        &coarse_opts,
-                        &mut trace,
-                        &format!("gp/level{}", levels.len()),
-                    ) {
-                        degraded_stage.get_or_insert(div.stage);
-                    }
-                    // Walk down the hierarchy.
-                    let mut positions = coarse.positions();
-                    for (li, lvl) in levels.iter().enumerate().rev() {
-                        // Reconstruct the model at this level: it is either
-                        // the next level's coarse model or the finest model.
-                        let mut level_model = if li == 0 {
-                            model.clone()
-                        } else {
-                            levels[li - 1].coarse.clone()
-                        };
-                        let projected = crate::cluster::Clustering {
-                            coarse: {
-                                let mut c = lvl.coarse.clone();
-                                c.set_positions(&positions);
-                                c
-                            },
-                            parent: lvl.parent.clone(),
-                        };
-                        project_down(&mut level_model, &projected);
-                        let level_opts = if li == 0 {
-                            opts.gp.clone()
-                        } else {
-                            GpOptions { max_outer: opts.gp.max_outer / 2 + 2, ..opts.gp.clone() }
-                        };
-                        if let Err(div) = run_global_place(
-                            &mut level_model,
-                            gp_regions,
-                            &blocked,
-                            &level_opts,
-                            &mut trace,
-                            &format!("gp/level{li}"),
-                        ) {
-                            degraded_stage.get_or_insert(div.stage);
-                        }
-                        positions = level_model.positions();
-                        if li == 0 {
-                            model = level_model;
-                        }
-                    }
-                }
-            }
-            gp_outcome = match run_global_place(
-                &mut model,
-                gp_regions,
-                &blocked,
-                &opts.gp,
-                &mut trace,
-                "gp/final",
-            ) {
-                Ok(out) => out,
-                Err(div) => {
-                    // The model holds its last finite iterate — usable,
-                    // just not converged. Continue the flow degraded.
-                    degraded_stage.get_or_insert(div.stage);
-                    div.best
-                }
-            };
-            // Paranoia: the optimizer contract guarantees a finite iterate
-            // on both the Ok and Err paths; a non-finite position here
-            // means the contract was violated upstream and nothing
-            // checkpointable exists.
-            if model.pos_x.iter().chain(&model.pos_y).any(|v| !v.is_finite()) {
-                return Err(PlaceError::Diverged {
-                    stage: "gp/final".into(),
-                    retries: opts.gp.recovery.max_retries,
-                });
-            }
-            trace.record_stage("global_place", t_gp.elapsed());
-
-            // --- Macro rotation between GP and routability. ---
-            if opts.macro_rotation {
-                let t = Instant::now();
-                model.write_back(&mut placement);
-                let changed = match opts.rotation_mode {
-                    RotationMode::Discrete => {
-                        optimize_macro_orientations(design, &mut placement, true)
-                    }
-                    RotationMode::Continuous => {
-                        // Continuous angles, snapped; then a flip-only
-                        // discrete pass decides mirroring (the angle cannot
-                        // express it).
-                        let gamma = 2.0 * design.row_height().unwrap_or(10.0);
-                        let out = crate::rotation::optimize_rotation_continuous(&model, gamma, 100);
-                        let mut changed = 0;
-                        for (a, &q) in out.angles.iter().zip(&out.snapped) {
-                            let node = model.node_of[a.obj as usize];
-                            let orient = crate::rotation::orient_of_quarter(q);
-                            if placement.orient(node) != orient {
-                                placement.set_orient(node, orient);
-                                changed += 1;
-                            }
-                        }
-                        changed + optimize_macro_orientations(design, &mut placement, false)
-                    }
-                };
-                if changed > 0 {
-                    // Orientations changed pin offsets and macro dims:
-                    // rebuild the model from the updated placement and
-                    // re-polish.
-                    model = Model::from_design(design, &placement);
-                    match run_global_place(
-                        &mut model,
-                        gp_regions,
-                        &blocked,
-                        &GpOptions { max_outer: 4, ..opts.gp.clone() },
-                        &mut trace,
-                        "gp/rotation",
-                    ) {
-                        Ok(out) => gp_outcome = out,
-                        Err(div) => {
-                            degraded_stage.get_or_insert(div.stage);
-                            gp_outcome = div.best;
-                        }
-                    }
-                }
-                trace.record_stage("macro_rotation", t.elapsed());
-            }
-
-            // First checkpoint: the converged (or best recovered) global
-            // placement, before the routability loop perturbs it.
-            model.write_back(&mut placement);
-            save_checkpoint(
-                &mut checkpoint,
-                sink.as_deref_mut(),
-                &mut trace,
-                "global_place",
-                design,
-                &placement,
-                false,
-                &model.area,
-                0,
-                gp_outcome,
-            );
-        }
-        if cancelled() {
-            let cp = checkpoint.expect("checkpoint exists after global placement");
-            return Ok(FlowProgress::Interrupted(cp));
-        }
-
-        // --- Routability loop: estimate → inflate / reweight → re-place. ---
-        //
-        // The congestion grid is built once and refreshed in place every
-        // round: capacities depend only on fixed-node blockages (which
-        // never move), so re-carving them each round was pure waste. The
-        // same grid serves the detailed-placement stage below.
-        let mut congestion_grid: Option<rdp_route::RouteGrid> = None;
-        let mut inflation_stats: Vec<InflationStats> = Vec::new();
-        let mut interrupted = false;
-        if resume_at_legalize {
-            // Resumed from the legal checkpoint: the routability loop (and
-            // legalization below) already ran in the checkpointed run.
-        } else if opts.routability && opts.inflation_rounds > 0 && flow_clock.exhausted() {
-            // Flow budget already spent: drop the routability loop (a
-            // quality stage) and proceed straight to legalization.
-            trace.record_event(RecoveryEvent::BudgetTruncated { scope: "flow".into(), at_round: 0 });
-            degraded_stage.get_or_insert_with(|| "routability".into());
-        } else if opts.routability && opts.inflation_rounds > 0 {
-            let t = Instant::now();
-            let base_weights: Vec<f64> = model.net_weight.clone();
-            // State of the router tier: the previous round's routing
-            // outcome (warm state for the incremental reroute) and the
-            // node centers it was routed at (so the next round can compute
-            // its moved-cell set). `router_degraded` downgrades remaining
-            // router rounds to the probabilistic estimate when the router
-            // blows its time budget (degradation ladder: true routed
-            // congestion → probabilistic estimate).
-            let schedule = opts.routability_opts.effective_schedule();
-            let mut router_degraded = false;
-            let mut router_config = opts.routability_opts.router.clone();
-            router_config.parallelism = opts.gp.parallelism.clone();
-            let router = GlobalRouter::new(router_config);
-            let mut route_outcome: Option<RoutingOutcome> = None;
-            let mut route_centers: Vec<rdp_geom::Point> =
-                vec![rdp_geom::Point::ORIGIN; design.nodes().len()];
-            let inflation_clock = BudgetClock::new(opts.budget.inflation_wall);
-            for round in start_round..opts.inflation_rounds {
-                if cancelled() {
-                    // Stop at the round boundary: the latest checkpoint
-                    // (global_place or the previous round) resumes here.
-                    interrupted = true;
-                    break;
-                }
-                if inflation_clock.exhausted()
-                    || flow_clock.exhausted()
-                    || crate::faultinject::fire_inflation_budget(round)
-                {
-                    trace.record_event(RecoveryEvent::BudgetTruncated {
-                        scope: "inflation".into(),
-                        at_round: round,
-                    });
-                    degraded_stage.get_or_insert_with(|| format!("inflate{round}"));
-                    break;
-                }
-                model.write_back(&mut placement);
-                let mut source = schedule.source_for(round, opts.inflation_rounds);
-                if router_degraded && source == CongestionSource::Router {
-                    source = CongestionSource::Probabilistic;
-                }
-                trace.set_estimator_tier(source.label());
-                let t_cong = Instant::now();
-                let mut dirty_nets = 0usize;
-                let mut router_fallback = false;
-                // Holds the collapsed planar view when the router ran in
-                // layered (3-D) mode: the inflation and net-weighting
-                // consumers are defined over the 2-D gcell grid.
-                let mut projected_grid: Option<RouteGrid> = None;
-                let grid: &RouteGrid = match source {
-                    CongestionSource::Router => {
-                        // True routed congestion: full route on the first
-                        // router round, incremental reroute of just the
-                        // moved cells afterwards.
-                        let mut outcome = match route_outcome.take() {
-                            None => router.route(design, &placement),
-                            Some(prev) => {
-                                let moved: Vec<NodeId> = design
-                                    .node_ids()
-                                    .filter(|&id| {
-                                        placement.center(id) != route_centers[id.index()]
-                                    })
-                                    .collect();
-                                router.reroute_incremental(&prev, design, &placement, &moved)
-                            }
-                        };
-                        dirty_nets = outcome.dirty_nets;
-                        for id in design.node_ids() {
-                            route_centers[id.index()] = placement.center(id);
-                        }
-                        if outcome.budget_truncated
-                            || crate::faultinject::fire_router_budget(round)
-                        {
-                            // The router returned its current overflow
-                            // state; it is still a usable congestion
-                            // picture for this round, but later router
-                            // rounds fall back to the cheap estimator
-                            // rather than keep paying for a router that
-                            // cannot finish.
-                            trace.record_event(RecoveryEvent::CongestionFallback {
-                                round,
-                                reason: "router budget".into(),
-                            });
-                            degraded_stage.get_or_insert_with(|| format!("inflate{round}"));
-                            router_fallback = true;
-                            router_degraded = true;
-                        }
-                        crate::faultinject::corrupt_congestion(&mut outcome.grid, round);
-                        let routed = &route_outcome.insert(outcome).grid;
-                        if routed.has_vias() {
-                            &*projected_grid.insert(routed.project_2d())
-                        } else {
-                            routed
-                        }
-                    }
-                    CongestionSource::Learned => {
-                        let grid = slot_grid(&mut congestion_grid, design, &placement);
-                        rdp_route::learned::predict_into(
-                            grid,
-                            design,
-                            &placement,
-                            opts.routability_opts.weights(),
-                            &opts.gp.parallelism,
-                        );
-                        crate::faultinject::corrupt_congestion(grid, round);
-                        &*grid
-                    }
-                    CongestionSource::Probabilistic => {
-                        let grid =
-                            refresh_congestion(&mut congestion_grid, design, &placement, &opts);
-                        crate::faultinject::corrupt_congestion(grid, round);
-                        &*grid
-                    }
-                };
-                let congestion_time = t_cong.elapsed();
-                // Corruption canary: non-finite grid state must neither
-                // inflate areas (inflate() skips it cell-wise) nor seed
-                // the next round's warm start (handled below, after the
-                // grid borrow ends).
-                let grid_corrupted = grid.non_finite_edges() > 0;
-                let mut touched = 0usize;
-                if opts.inflate_cells {
-                    let mut stats = inflate(&mut model, grid, opts.inflation);
-                    stats.source = source;
-                    stats.dirty_nets = dirty_nets;
-                    stats.congestion_time = congestion_time;
-                    stats.congestion_fallback = router_fallback || grid_corrupted;
-                    touched += stats.inflated;
-                    inflation_stats.push(stats);
-                }
-                if opts.net_weighting {
-                    touched += crate::net_weighting::apply_congestion_weights(
-                        &mut model,
-                        grid,
-                        &base_weights,
-                        opts.net_weighting_config,
-                    );
-                }
-                if grid_corrupted {
-                    // Discard the poisoned warm state: the next router
-                    // round (if any) routes from scratch on a fresh grid,
-                    // and the estimator grid is rebuilt on next use.
-                    trace.record_event(RecoveryEvent::CongestionFallback {
-                        round,
-                        reason: "corrupt grid".into(),
-                    });
-                    degraded_stage.get_or_insert_with(|| format!("inflate{round}"));
-                    route_outcome = None;
-                    congestion_grid = None;
-                }
-                if touched == 0 {
-                    break;
-                }
-                match run_global_place(
-                    &mut model,
-                    gp_regions,
-                    &blocked,
-                    &GpOptions {
-                        max_outer: (opts.gp.max_outer / 2).max(4),
-                        ..opts.gp.clone()
-                    },
-                    &mut trace,
-                    &format!("gp/inflate{round}"),
-                ) {
-                    Ok(out) => {
-                        if let Some(stats) = inflation_stats.last_mut() {
-                            stats.recoveries = out.recoveries;
-                        }
-                        gp_outcome = out;
-                        model.write_back(&mut placement);
-                        rounds_done = round + 1;
-                        save_checkpoint(
-                            &mut checkpoint,
-                            sink.as_deref_mut(),
-                            &mut trace,
-                            &format!("inflate{round}"),
-                            design,
-                            &placement,
-                            false,
-                            &model.area,
-                            rounds_done,
-                            gp_outcome,
-                        );
-                    }
-                    Err(div) => {
-                        // The round's GP diverged beyond recovery: roll the
-                        // placement back to the last feasible checkpoint
-                        // and stop inflating — downstream stages continue
-                        // from the restored state.
-                        gp_outcome = div.best;
-                        degraded_stage.get_or_insert_with(|| div.stage.clone());
-                        if let Some(cp) = &checkpoint {
-                            placement = cp.placement.clone();
-                            for i in 0..model.node_of.len() {
-                                model.set_pos(i, placement.center(model.node_of[i]));
-                            }
-                            restored_from = Some(cp.stage.clone());
-                            trace.record_event(RecoveryEvent::CheckpointRestored {
-                                failed_stage: div.stage,
-                                from: cp.stage.clone(),
-                            });
-                        }
-                        if let Some(stats) = inflation_stats.last_mut() {
-                            stats.recoveries = div.retries;
-                            stats.restored = restored_from.is_some();
-                        }
-                        break;
-                    }
-                }
-            }
-            if opts.net_weighting {
-                crate::net_weighting::reset_weights(&mut model, &base_weights);
-            }
-            trace.set_estimator_tier("");
-            trace.record_stage("routability", t.elapsed());
-        }
-        if interrupted {
-            let cp = checkpoint.expect("checkpoint exists inside the routability loop");
-            return Ok(FlowProgress::Interrupted(cp));
-        }
-        model.write_back(&mut placement);
-
-        // --- Legalization. ---
-        // Resuming from the legal checkpoint skips re-legalization: the
-        // placement is already row-legal, and re-running the packer on its
-        // own output is not guaranteed to be a bitwise no-op. The resumed
-        // result then reports default (zero) legalization stats.
-        let legalize_stats = if resume_at_legalize {
-            LegalizeStats::default()
-        } else {
-            let t = Instant::now();
-            let stats =
-                legalize_with_displacement_par(design, &mut placement, &opts.gp.parallelism);
-            trace.record_stage("legalize", t.elapsed());
-            save_checkpoint(
-                &mut checkpoint,
-                sink.as_deref_mut(),
-                &mut trace,
-                "legalize",
-                design,
-                &placement,
-                true,
-                &model.area,
-                rounds_done,
-                gp_outcome,
-            );
-            stats
-        };
-        if cancelled() {
-            let cp = checkpoint.expect("checkpoint exists after legalization");
-            return Ok(FlowProgress::Interrupted(cp));
-        }
-
-        // --- Detailed placement. ---
-        let detail_stats = if opts.detailed && flow_clock.exhausted() {
-            // Flow budget spent: skip the (optional) polish stage; the
-            // legalized checkpoint above is the deliverable.
-            trace.record_event(RecoveryEvent::BudgetTruncated {
-                scope: "flow".into(),
-                at_round: opts.inflation_rounds,
-            });
-            degraded_stage.get_or_insert_with(|| "detailed".into());
-            None
-        } else if opts.detailed {
-            let t = Instant::now();
-            let congestion = if opts.routability {
-                Some(&*refresh_congestion(&mut congestion_grid, design, &placement, &opts))
-            } else {
-                None
-            };
-            let stats = detailed_place(design, &mut placement, congestion, opts.detail);
-            trace.record_stage("detailed", t.elapsed());
-            Some(stats)
-        } else {
-            None
-        };
-
-        // Last line of defense: if any downstream stage leaked a
-        // non-finite coordinate, roll back to the legalized checkpoint
-        // rather than hand the caller a poisoned placement.
-        if design.movable_ids().any(|id| !placement.center(id).is_finite()) {
-            if let Some(cp) = checkpoint.as_ref().filter(|cp| cp.legal) {
-                placement = cp.placement.clone();
-                restored_from = Some(cp.stage.clone());
-                degraded_stage.get_or_insert_with(|| "detailed".into());
-                trace.record_event(RecoveryEvent::CheckpointRestored {
-                    failed_stage: "detailed".into(),
-                    from: cp.stage.clone(),
-                });
-            }
-        }
-
-        let degraded = degraded_stage.map(|stage| DegradedResult {
-            stage,
-            restored_from,
-            events: trace.events.clone(),
-        });
-        let hpwl = rdp_db::hpwl::total_hpwl(design, &placement);
-        Ok(FlowProgress::Completed(Box::new(PlaceResult {
+        let flow = Flow {
+            design,
+            blocked,
             placement,
+            model,
+            trace: Trace::new(),
+            gp: self.resume.as_ref().map(|cp| cp.gp),
+            rounds_done: self.resume.as_ref().map_or(0, |cp| cp.rounds_done),
+            checkpoint: self.resume,
+            sink: self.checkpoint_sink,
+            cancel: self.cancel,
+            flow_clock: BudgetClock::new(opts.budget.flow_wall),
+            degraded: None,
+            restored_from: None,
+            congestion_grid: None,
+            rounds: None,
+            inflation: Vec::new(),
+            legalize: LegalizeStats::default(),
+            detail: None,
+            opts,
+        };
+        flow.drive(&stages, t_start)
+    }
+}
+
+/// A resume checkpoint must structurally fit the design and be finite —
+/// anything else is a caller error (wrong design, corrupt file), not a
+/// recoverable flow state.
+fn check_fits(design: &Design, cp: &FlowCheckpoint) -> Result<(), PlaceError> {
+    let num_objects = design.movable_ids().count();
+    let reason = if cp.placement.len() != design.nodes().len() {
+        format!("checkpoint has {} nodes, design has {}", cp.placement.len(), design.nodes().len())
+    } else if cp.density_area.len() != num_objects {
+        format!(
+            "checkpoint has {} density areas, design has {} movable objects",
+            cp.density_area.len(),
+            num_objects
+        )
+    } else if cp.placement.centers().iter().any(|c| !c.is_finite())
+        || cp.density_area.iter().any(|a| !a.is_finite())
+    {
+        "checkpoint contains non-finite state".into()
+    } else {
+        return Ok(());
+    };
+    Err(PlaceError::BadResume { reason })
+}
+
+/// The starting placement of a fresh run: `initial` (or everything at the
+/// die center) with a seeded symmetry-breaking jitter on the movables.
+fn jittered(design: &Design, initial: Option<Placement>, seed: u64) -> Result<Placement, PlaceError> {
+    let mut placement = initial.unwrap_or_else(|| Placement::new_centered(design));
+    let mut rng = rdp_geom::rng::Rng::seed_from_u64(seed);
+    let die = design.die();
+    let jx = die.width() * 0.05;
+    let jy = die.height() * 0.05;
+    for id in design.movable_ids() {
+        let c = placement.center(id);
+        let p = rdp_geom::Point::new(
+            rdp_geom::clamp(c.x + rng.gen_range(-jx..jx), die.xl, die.xh),
+            rdp_geom::clamp(c.y + rng.gen_range(-jy..jy), die.yl, die.yh),
+        );
+        placement.set_center(id, p);
+    }
+    // The resilience layer has nothing to roll back to before the first
+    // checkpoint, so a non-finite *initial* placement is the one divergence
+    // that surfaces as a hard error.
+    if design.node_ids().any(|id| !placement.center(id).is_finite()) {
+        return Err(PlaceError::Diverged { stage: "initial".into(), retries: 0 });
+    }
+    Ok(placement)
+}
+
+/// One stage of the flow. The derived order is the flow order, so a
+/// resume position is just the first stage not yet covered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Stage {
+    /// The multilevel V-cycle, then `gp/final` on the full model.
+    GlobalPlace,
+    /// Macro orientation re-selection and its GP re-polish.
+    Rotation,
+    /// One routability round: estimate congestion, inflate, re-place.
+    Inflate(usize),
+    Legalize,
+    Detailed,
+}
+
+impl Stage {
+    /// The stages `opts` enables, in flow order.
+    fn list(opts: &PlaceOptions) -> Vec<Stage> {
+        let rounds = if opts.routability { opts.inflation_rounds } else { 0 };
+        let mut stages = vec![Stage::GlobalPlace];
+        stages.extend(opts.macro_rotation.then_some(Stage::Rotation));
+        stages.extend((0..rounds).map(Stage::Inflate));
+        stages.push(Stage::Legalize);
+        stages.extend(opts.detailed.then_some(Stage::Detailed));
+        stages
+    }
+
+    /// The stage's name in `trace.stages` and in degradation reports.
+    fn name(self) -> String {
+        match self {
+            Stage::GlobalPlace => "global_place".into(),
+            Stage::Rotation => "macro_rotation".into(),
+            Stage::Inflate(round) => format!("inflate{round}"),
+            Stage::Legalize => "legalize".into(),
+            Stage::Detailed => "detailed".into(),
+        }
+    }
+
+    /// The checkpoint the stage leaves when it completes. Global placement
+    /// is checkpointed once, after macro rotation when that runs.
+    fn checkpoint(self, rotation: bool) -> Option<String> {
+        match self {
+            Stage::GlobalPlace if rotation => None,
+            Stage::GlobalPlace | Stage::Rotation => Some("global_place".into()),
+            Stage::Inflate(_) | Stage::Legalize => Some(self.name()),
+            Stage::Detailed => None,
+        }
+    }
+}
+
+/// State that lives for the routability rounds only.
+struct Rounds {
+    /// When the first round started: the rounds book their time jointly.
+    start: Instant,
+    /// The inflation budget, started with the first round.
+    clock: BudgetClock,
+    /// Net weights before any congestion reweighting.
+    base_weights: Vec<f64>,
+    /// Set when the router blew its time budget: later router rounds fall
+    /// back to the probabilistic estimate.
+    router_degraded: bool,
+    /// The previous router round's outcome and the placement it routed:
+    /// the warm state of the incremental reroute.
+    routed: Option<(RoutingOutcome, Placement)>,
+}
+
+/// The state one run's stages read and write.
+struct Flow<'a> {
+    design: &'a Design,
+    opts: PlaceOptions,
+    /// Fixed-node blockages of the density fields.
+    blocked: Vec<(Rect, f64)>,
+    /// The flow's placement, current at every stage boundary.
+    placement: Placement,
+    model: Model,
+    trace: Trace,
+    /// Outcome of the last GP solve (`None` before the first one).
+    gp: Option<GpOutcome>,
+    rounds_done: usize,
+    /// The latest checkpoint: the resume one, then every saved one.
+    checkpoint: Option<FlowCheckpoint>,
+    sink: Option<CheckpointSink<'a>>,
+    cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
+    flow_clock: BudgetClock,
+    /// The first stage that degraded, and the checkpoint restored from.
+    degraded: Option<String>,
+    restored_from: Option<String>,
+    /// The estimator grid, carved once and refreshed in place: capacities
+    /// depend only on fixed-node blockages, which never move, and both
+    /// estimator tiers clear and re-deposit all usage. Detailed placement
+    /// reuses it.
+    congestion_grid: Option<RouteGrid>,
+    rounds: Option<Rounds>,
+    inflation: Vec<InflationStats>,
+    legalize: LegalizeStats,
+    detail: Option<DetailStats>,
+}
+
+impl Flow<'_> {
+    /// Runs `stages` in order. This is the one place the flow's
+    /// cross-cutting policy lives: at each stage boundary it polls the
+    /// cancel token, opens or closes the routability rounds, and drops a
+    /// stage whose budget is spent; after each stage it books the stage
+    /// time and saves the stage's checkpoint. A round that does not
+    /// complete ends the rounds.
+    fn drive(mut self, stages: &[Stage], t_start: Instant) -> Result<FlowProgress, PlaceError> {
+        let mut rounds_over = false;
+        for &stage in stages {
+            let round = matches!(stage, Stage::Inflate(_));
+            if round && rounds_over {
+                continue;
+            }
+            if self.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
+                if let Some(cp) = self.checkpoint.take() {
+                    return Ok(FlowProgress::Interrupted(cp));
+                }
+            }
+            if round && self.rounds.is_none() {
+                self.rounds = Some(Rounds {
+                    start: Instant::now(),
+                    clock: BudgetClock::new(self.opts.budget.inflation_wall),
+                    base_weights: self.model.net_weight.clone(),
+                    router_degraded: false,
+                    routed: None,
+                });
+            } else if let Some(rounds) = self.rounds.take_if(|_| !round) {
+                if self.opts.net_weighting {
+                    crate::net_weighting::reset_weights(&mut self.model, &rounds.base_weights);
+                }
+                self.trace.set_estimator_tier("");
+                self.trace.record_stage("routability", rounds.start.elapsed());
+            }
+            if let Some((scope, at_round)) = self.spent_budget(stage) {
+                self.trace.record_event(RecoveryEvent::BudgetTruncated { scope: scope.into(), at_round });
+                self.degraded.get_or_insert_with(|| stage.name());
+                rounds_over = true;
+                continue;
+            }
+            let t = Instant::now();
+            let completed = self.run(stage)?;
+            if !round {
+                self.trace.record_stage(stage.name(), t.elapsed());
+            }
+            if !completed {
+                rounds_over = true;
+            } else if let Some(name) = stage.checkpoint(self.opts.macro_rotation) {
+                self.save(name, stage == Stage::Legalize);
+            }
+        }
+
+        let degraded = self.degraded.map(|stage| DegradedResult {
+            stage,
+            restored_from: self.restored_from,
+            events: self.trace.events.clone(),
+        });
+        let hpwl = rdp_db::hpwl::total_hpwl(self.design, &self.placement);
+        Ok(FlowProgress::Completed(Box::new(PlaceResult {
+            placement: self.placement,
             hpwl,
-            gp: gp_outcome,
-            legalize: legalize_stats,
-            detail: detail_stats,
-            inflation: inflation_stats,
-            trace,
+            gp: self.gp.expect("global placement ran or was resumed"),
+            legalize: self.legalize,
+            detail: self.detail,
+            inflation: self.inflation,
+            trace: self.trace,
             degraded,
             elapsed: t_start.elapsed(),
         })))
     }
-}
 
-/// Builds the shared congestion grid on first use, then refreshes its
-/// usage against the current `placement`.
-///
-/// Capacities depend only on fixed-node blockages, which never move during
-/// placement, so carving them once is enough; every refresh clears the
-/// usage and re-deposits, producing bitwise the same estimate as a freshly
-/// built grid.
-fn refresh_congestion<'a>(
-    slot: &'a mut Option<rdp_route::RouteGrid>,
-    design: &Design,
-    placement: &Placement,
-    opts: &PlaceOptions,
-) -> &'a mut rdp_route::RouteGrid {
-    let grid = slot_grid(slot, design, placement);
-    rdp_route::pattern::estimate_congestion_into(grid, design, placement, &opts.gp.parallelism);
-    grid
-}
-
-/// The shared congestion grid, built on first use. The probabilistic and
-/// learned tiers both fully clear and re-deposit the usage, so they can
-/// alternate on the same grid without interference.
-fn slot_grid<'a>(
-    slot: &'a mut Option<rdp_route::RouteGrid>,
-    design: &Design,
-    placement: &Placement,
-) -> &'a mut rdp_route::RouteGrid {
-    slot.get_or_insert_with(|| rdp_route::RouteGrid::from_design(design, placement))
-}
-
-/// Snapshots `placement` as the latest [`FlowCheckpoint`] and records the
-/// save in the trace (checkpoint granularity: one per completed stage,
-/// latest wins — the flow is monotonic, so newest feasible is best). The
-/// snapshot also captures the resume state (density areas, completed
-/// rounds, GP outcome) and is offered to the caller's checkpoint sink.
-#[allow(clippy::too_many_arguments)]
-fn save_checkpoint(
-    slot: &mut Option<FlowCheckpoint>,
-    sink: Option<&mut (dyn FnMut(&FlowCheckpoint) + Send + '_)>,
-    trace: &mut Trace,
-    stage: &str,
-    design: &Design,
-    placement: &Placement,
-    legal: bool,
-    density_area: &[f64],
-    rounds_done: usize,
-    gp: GpOutcome,
-) {
-    let hpwl = rdp_db::hpwl::total_hpwl(design, placement);
-    trace.record_event(RecoveryEvent::CheckpointSaved { stage: stage.to_owned(), hpwl });
-    let cp = FlowCheckpoint {
-        stage: stage.to_owned(),
-        placement: placement.clone(),
-        hpwl,
-        legal,
-        density_area: density_area.to_vec(),
-        rounds_done,
-        gp,
-    };
-    if let Some(sink) = sink {
-        sink(&cp);
+    /// Runs one stage; `false` means it did not complete (a round that
+    /// inflated nothing or rolled back) and leaves no checkpoint.
+    fn run(&mut self, stage: Stage) -> Result<bool, PlaceError> {
+        match stage {
+            Stage::GlobalPlace => self.global_place()?,
+            Stage::Rotation => self.rotate(),
+            Stage::Inflate(round) => return Ok(self.inflate_round(round)),
+            Stage::Legalize => {
+                self.legalize = legalize_with_displacement_par(
+                    self.design,
+                    &mut self.placement,
+                    &self.opts.gp.parallelism,
+                );
+            }
+            Stage::Detailed => self.detailed(),
+        }
+        Ok(true)
     }
-    *slot = Some(cp);
+
+    /// The budget already spent when `stage` is about to start, as
+    /// `(scope, round)`. Only quality stages — the routability rounds and
+    /// detailed placement — are ever dropped; legalization never is.
+    fn spent_budget(&self, stage: Stage) -> Option<(&'static str, usize)> {
+        let flow_spent = self.flow_clock.exhausted();
+        match stage {
+            Stage::Inflate(round) if flow_spent => Some(("flow", round)),
+            Stage::Inflate(round) => {
+                let rounds_spent = self.rounds.as_ref().is_some_and(|r| r.clock.exhausted());
+                (rounds_spent || crate::faultinject::fire_inflation_budget(round))
+                    .then_some(("inflation", round))
+            }
+            Stage::Detailed if flow_spent => Some(("flow", self.opts.inflation_rounds)),
+            _ => None,
+        }
+    }
+
+    /// Snapshots the flow state as the latest checkpoint, records the save
+    /// and offers it to the sink. One checkpoint per completed stage,
+    /// latest wins: the flow is monotonic, so the newest feasible snapshot
+    /// is also the best.
+    fn save(&mut self, stage: String, legal: bool) {
+        let hpwl = rdp_db::hpwl::total_hpwl(self.design, &self.placement);
+        self.trace.record_event(RecoveryEvent::CheckpointSaved { stage: stage.clone(), hpwl });
+        let cp = FlowCheckpoint {
+            stage,
+            placement: self.placement.clone(),
+            hpwl,
+            legal,
+            density_area: self.model.area.clone(),
+            rounds_done: self.rounds_done,
+            gp: self.gp.expect("a checkpoint follows a GP solve"),
+        };
+        if let Some(sink) = &mut self.sink {
+            sink(&cp);
+        }
+        self.checkpoint = Some(cp);
+    }
+
+    /// Rolls the flow state back to the latest checkpoint as one unit —
+    /// placement, density areas and completed rounds — because `failed`
+    /// went wrong. Returns whether a checkpoint existed.
+    fn restore(&mut self, failed: &str) -> bool {
+        let Some(cp) = &self.checkpoint else {
+            return false;
+        };
+        self.placement = cp.placement.clone();
+        for i in 0..self.model.node_of.len() {
+            self.model.set_pos(i, self.placement.center(self.model.node_of[i]));
+        }
+        self.model.area.copy_from_slice(&cp.density_area);
+        self.rounds_done = cp.rounds_done;
+        self.degraded.get_or_insert_with(|| failed.to_owned());
+        self.restored_from = Some(cp.stage.clone());
+        self.trace.record_event(RecoveryEvent::CheckpointRestored {
+            failed_stage: failed.to_owned(),
+            from: cp.stage.clone(),
+        });
+        true
+    }
+
+    /// The flow's one entry into global placement: solves `level` (the
+    /// full model when `None`) with at most `max_outer` penalty rounds. A
+    /// divergence marks the run degraded at the diverging stage; what to
+    /// do with the diverged model — which holds its last finite iterate —
+    /// is the caller's policy.
+    fn solve(
+        &mut self,
+        level: Option<&mut Model>,
+        max_outer: usize,
+        stage: &str,
+    ) -> Result<GpOutcome, Diverged> {
+        let opts = GpOptions { max_outer, ..self.opts.gp.clone() };
+        let regions = if self.opts.hierarchy_aware { self.design.regions() } else { &[] };
+        let model = level.unwrap_or(&mut self.model);
+        run_global_place(model, regions, &self.blocked, &opts, &mut self.trace, stage)
+            .inspect_err(|div| {
+                self.degraded.get_or_insert_with(|| div.stage.clone());
+            })
+    }
+
+    /// The multilevel V-cycle, then `gp/final` on the full model.
+    fn global_place(&mut self) -> Result<(), PlaceError> {
+        if self.opts.multilevel {
+            self.v_cycle();
+        }
+        // A diverged final solve is usable, just not converged: the flow
+        // continues from its best iterate.
+        let out = self.solve(None, self.opts.gp.max_outer, "gp/final");
+        self.gp = Some(out.unwrap_or_else(|div| div.best));
+        // Paranoia: the optimizer guarantees a finite iterate either way; a
+        // non-finite position means that contract broke upstream and
+        // nothing checkpointable exists.
+        if self.model.pos_x.iter().chain(&self.model.pos_y).any(|v| !v.is_finite()) {
+            return Err(PlaceError::Diverged {
+                stage: "gp/final".into(),
+                retries: self.opts.gp.recovery.max_retries,
+            });
+        }
+        self.model.write_back(&mut self.placement);
+        Ok(())
+    }
+
+    /// Solves the coarsest clustering level, then walks down: every finer
+    /// level starts from its projected coarse solution and is solved in
+    /// place. A level's divergence is non-fatal — it only warm-starts the
+    /// next level.
+    fn v_cycle(&mut self) {
+        let mut levels = build_levels(&self.model, self.opts.cluster_limit);
+        let coarse_outer = self.opts.gp.max_outer / 2 + 2;
+        let top = format!("gp/level{}", levels.len());
+        if let Some(coarsest) = levels.last_mut() {
+            let _ = self.solve(Some(&mut coarsest.coarse), coarse_outer, &top);
+        }
+        for k in (0..levels.len()).rev() {
+            // Level `k` is the model `levels[k]` clusters; level 0 is the
+            // full model.
+            let (finer, coarser) = levels.split_at_mut(k);
+            let mut level = finer.last_mut().map(|c| &mut c.coarse);
+            project_down(level.as_deref_mut().unwrap_or(&mut self.model), &coarser[0]);
+            let max_outer = if k == 0 { self.opts.gp.max_outer } else { coarse_outer };
+            let _ = self.solve(level, max_outer, &format!("gp/level{k}"));
+        }
+    }
+
+    /// Re-selects macro orientations. Changed orientations move pin
+    /// offsets and macro dims, so the model is rebuilt and re-polished.
+    fn rotate(&mut self) {
+        let design = self.design;
+        let placement = &mut self.placement;
+        let changed = match self.opts.rotation_mode {
+            RotationMode::Discrete => optimize_macro_orientations(design, placement, true),
+            RotationMode::Continuous => {
+                // Continuous angles, snapped; then a flip-only discrete
+                // pass decides mirroring (the angle cannot express it).
+                let gamma = 2.0 * design.row_height().unwrap_or(10.0);
+                let out = crate::rotation::optimize_rotation_continuous(&self.model, gamma, 100);
+                let mut changed = 0;
+                for (a, &q) in out.angles.iter().zip(&out.snapped) {
+                    let node = self.model.node_of[a.obj as usize];
+                    let orient = crate::rotation::orient_of_quarter(q);
+                    if placement.orient(node) != orient {
+                        placement.set_orient(node, orient);
+                        changed += 1;
+                    }
+                }
+                changed + optimize_macro_orientations(design, placement, false)
+            }
+        };
+        if changed > 0 {
+            self.model = Model::from_design(design, &self.placement);
+            let out = self.solve(None, 4, "gp/rotation");
+            self.gp = Some(out.unwrap_or_else(|div| div.best));
+            self.model.write_back(&mut self.placement);
+        }
+    }
+
+    /// One routability round: estimate congestion with the round's tier,
+    /// inflate and/or reweight, then re-place. Returns whether the round
+    /// completed; a round that touches nothing, or whose GP diverges (and
+    /// rolls back to the latest checkpoint), ends the rounds.
+    fn inflate_round(&mut self, round: usize) -> bool {
+        let (design, opts, placement) = (self.design, &self.opts, &self.placement);
+        let rounds = self.rounds.as_mut().expect("the driver opens the rounds");
+        let mut source = opts.routability_opts.schedule.source_for(round, opts.inflation_rounds);
+        if rounds.router_degraded && source == CongestionSource::Router {
+            source = CongestionSource::Probabilistic;
+        }
+        self.trace.set_estimator_tier(source.label());
+        let t_cong = Instant::now();
+        let mut dirty_nets = 0usize;
+        let mut router_fallback = false;
+        // Holds the collapsed planar view when the router ran in layered
+        // (3-D) mode: inflation and net weighting are defined over the 2-D
+        // gcell grid.
+        let mut projected_grid: Option<RouteGrid> = None;
+        let grid: &RouteGrid = if source == CongestionSource::Router {
+            // True routed congestion: a full route on the first router
+            // round, an incremental reroute of the moved cells after.
+            let mut config = opts.routability_opts.router.clone();
+            config.parallelism = opts.gp.parallelism.clone();
+            let router = GlobalRouter::new(config);
+            let mut outcome = match rounds.routed.take() {
+                None => router.route(design, placement),
+                Some((prev, at)) => {
+                    let moved: Vec<NodeId> =
+                        design.node_ids().filter(|&id| placement.center(id) != at.center(id)).collect();
+                    router.reroute_incremental(&prev, design, placement, &moved)
+                }
+            };
+            dirty_nets = outcome.dirty_nets;
+            if outcome.budget_truncated || crate::faultinject::fire_router_budget(round) {
+                // The router's current overflow state is still a usable
+                // picture for this round, but later router rounds fall back
+                // to the cheap estimator rather than keep paying for a
+                // router that cannot finish.
+                self.trace.record_event(RecoveryEvent::CongestionFallback {
+                    round,
+                    reason: "router budget".into(),
+                });
+                self.degraded.get_or_insert_with(|| format!("inflate{round}"));
+                router_fallback = true;
+                rounds.router_degraded = true;
+            }
+            crate::faultinject::corrupt_congestion(&mut outcome.grid, round);
+            let routed = &rounds.routed.insert((outcome, placement.clone())).0.grid;
+            if routed.has_vias() {
+                &*projected_grid.insert(routed.project_2d())
+            } else {
+                routed
+            }
+        } else {
+            let grid = self.congestion_grid.get_or_insert_with(|| RouteGrid::from_design(design, placement));
+            if source == CongestionSource::Learned {
+                let weights = opts.routability_opts.weights();
+                rdp_route::learned::predict_into(grid, design, placement, weights, &opts.gp.parallelism);
+            } else {
+                estimate_congestion_into(grid, design, placement, &opts.gp.parallelism);
+            }
+            crate::faultinject::corrupt_congestion(grid, round);
+            &*grid
+        };
+        let congestion_time = t_cong.elapsed();
+        // Corruption canary: non-finite grid state must neither inflate
+        // areas (inflate() skips it cell-wise) nor seed the next round.
+        let grid_corrupted = grid.non_finite_edges() > 0;
+        let mut touched = 0usize;
+        if opts.inflate_cells {
+            let stats = InflationStats {
+                source,
+                dirty_nets,
+                congestion_time,
+                congestion_fallback: router_fallback || grid_corrupted,
+                ..inflate(&mut self.model, grid, opts.inflation)
+            };
+            touched += stats.inflated;
+            self.inflation.push(stats);
+        }
+        if opts.net_weighting {
+            touched += crate::net_weighting::apply_congestion_weights(
+                &mut self.model,
+                grid,
+                &rounds.base_weights,
+                opts.net_weighting_config,
+            );
+        }
+        if grid_corrupted {
+            // Discard the poisoned warm state: the next router round routes
+            // from scratch, and the estimator grid is rebuilt on next use.
+            self.trace.record_event(RecoveryEvent::CongestionFallback {
+                round,
+                reason: "corrupt grid".into(),
+            });
+            self.degraded.get_or_insert_with(|| format!("inflate{round}"));
+            rounds.routed = None;
+            self.congestion_grid = None;
+        }
+        if touched == 0 {
+            return false;
+        }
+
+        let max_outer = (self.opts.gp.max_outer / 2).max(4);
+        match self.solve(None, max_outer, &format!("gp/inflate{round}")) {
+            Ok(out) => {
+                if let Some(stats) = self.inflation.last_mut() {
+                    stats.recoveries = out.recoveries;
+                }
+                self.gp = Some(out);
+                self.model.write_back(&mut self.placement);
+                self.rounds_done = round + 1;
+                true
+            }
+            Err(div) => {
+                // Downstream stages continue from the restored state.
+                self.gp = Some(div.best);
+                let restored = self.restore(&div.stage);
+                if let Some(stats) = self.inflation.last_mut() {
+                    stats.recoveries = div.retries;
+                    stats.restored = restored;
+                }
+                false
+            }
+        }
+    }
+
+    fn detailed(&mut self) {
+        let (design, placement) = (self.design, &mut self.placement);
+        let congestion = self.opts.routability.then(|| {
+            let grid = self.congestion_grid.get_or_insert_with(|| RouteGrid::from_design(design, placement));
+            estimate_congestion_into(grid, design, placement, &self.opts.gp.parallelism);
+            &*grid
+        });
+        self.detail = Some(detailed_place(design, placement, congestion, self.opts.detail));
+        // Last line of defense: a non-finite coordinate leaked here rolls
+        // back to the legal checkpoint rather than reach the caller.
+        if design.movable_ids().any(|id| !self.placement.center(id).is_finite()) {
+            self.restore("detailed");
+        }
+    }
 }
 
 #[cfg(test)]

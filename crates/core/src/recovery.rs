@@ -326,9 +326,12 @@ impl FlowCheckpoint {
             recoveries: parse_count(gp_parts[3], "recoveries")?,
             gradient_evals: parse_count(gp_parts[4], "gradient_evals")?,
         };
+        // A count read from the file only bounds its loop: the vectors are
+        // pre-sized by at most the text length (a line is at least a byte),
+        // never by a corrupt, huge count.
         let num_nodes = parse_count(&field(next("nodes")?, "nodes")?, "node count")?;
-        let mut centers = Vec::with_capacity(num_nodes);
-        let mut orients = Vec::with_capacity(num_nodes);
+        let mut centers = Vec::with_capacity(num_nodes.min(text.len()));
+        let mut orients = Vec::with_capacity(num_nodes.min(text.len()));
         for i in 0..num_nodes {
             let line = next("node line")?;
             let mut it = line.split_whitespace();
@@ -346,7 +349,7 @@ impl FlowCheckpoint {
             );
         }
         let num_areas = parse_count(&field(next("areas")?, "areas")?, "area count")?;
-        let mut density_area = Vec::with_capacity(num_areas);
+        let mut density_area = Vec::with_capacity(num_areas.min(text.len()));
         for _ in 0..num_areas {
             density_area.push(parse_bits(next("area line")?, "area")?);
         }
@@ -514,6 +517,39 @@ mod tests {
                 FlowCheckpoint::from_text(&text[..cut]).is_err(),
                 "truncation at {cut} parsed"
             );
+        }
+    }
+
+    #[test]
+    fn checkpoint_parse_rejects_huge_counts_without_allocating_them() {
+        let cp = FlowCheckpoint {
+            stage: "inflate0".into(),
+            placement: Placement::from_parts(
+                vec![rdp_geom::Point::new(1.0, 2.0)],
+                vec![rdp_geom::Orient::N],
+            ),
+            hpwl: 1.0,
+            legal: false,
+            density_area: vec![1.0],
+            rounds_done: 1,
+            gp: crate::optimizer::GpOutcome {
+                overflow_ratio: 0.1,
+                outer_rounds: 1,
+                smooth_wl: 1.0,
+                recoveries: 0,
+                gradient_evals: 1,
+            },
+        };
+        let text = cp.to_text();
+        assert!(FlowCheckpoint::from_text(&text).is_ok());
+        // 2^40 entries would ask for terabytes up front; 2^64 - 1 overflows
+        // the capacity computation. Both must be plain parse errors.
+        for key in ["nodes", "areas"] {
+            for count in ["1099511627776", "18446744073709551615"] {
+                let corrupt = text.replace(&format!("\n{key} 1\n"), &format!("\n{key} {count}\n"));
+                assert_ne!(corrupt, text);
+                assert!(FlowCheckpoint::from_text(&corrupt).is_err(), "{key} {count} parsed");
+            }
         }
     }
 

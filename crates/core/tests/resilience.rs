@@ -7,8 +7,8 @@
 //!   degradation report — and that real (non-injected) budget expiry
 //!   truncates cleanly into a legal placement.
 //! * **Injected-fault** tests (behind the `fault-inject` feature, run by
-//!   `scripts/ci.sh --faults`) arm deterministic faults and assert every
-//!   one resolves into either a recovered placement or a structured
+//!   the default `scripts/ci.sh` gate) arm deterministic faults and assert
+//!   every one resolves into either a recovered placement or a structured
 //!   [`DegradedResult`] / [`PlaceError`] — never a panic, never a
 //!   non-finite coordinate.
 
@@ -58,19 +58,38 @@ fn assert_legal_and_finite(bench: &GeneratedBench, result: &PlaceResult) {
 /// fixed blocks and thus the congestion-driven placement.)
 const GOLDEN_FAST_SEED41: u64 = 0x40cce158b656f432;
 const GOLDEN_ROUTER_SEED46: u64 = 0x40cad09a79513949;
+/// The estimator ladder on the fast path: Nesterov + electrostatics with
+/// [`rdp_core::CongestionSchedule::auto`] (a learned round, then the
+/// router tail).
+const GOLDEN_LADDER_SEED52: u64 = 0x40cecd61d24b5262;
+/// The multilevel V-cycle: a cluster limit below the tiny design's size
+/// makes the flow coarsen twice before `gp/final`.
+const GOLDEN_MULTILEVEL_SEED53: u64 = 0x40cfb6f695169530;
+
+/// Nesterov + FFT electrostatics with the learned → router ladder.
+fn electro_ladder(opts: PlaceOptions) -> PlaceOptions {
+    opts.with_solver(rdp_core::GpSolver::Nesterov, rdp_core::GpDensityModel::Electrostatic)
+        .with_estimator(rdp_core::CongestionSchedule::auto())
+}
+
+/// Coarsens the 500-cell tiny design into two cluster levels.
+fn two_levels(opts: PlaceOptions) -> PlaceOptions {
+    PlaceOptions { cluster_limit: 150, ..opts }
+}
 
 #[test]
 fn fault_free_run_matches_golden_bits_at_every_thread_count() {
-    for &(name, seed, router, golden) in &[
-        ("pf", 41u64, false, GOLDEN_FAST_SEED41),
-        ("prc", 46, true, GOLDEN_ROUTER_SEED46),
-    ] {
+    type Configure = fn(PlaceOptions) -> PlaceOptions;
+    let rows: [(&str, u64, Configure, u64); 4] = [
+        ("pf", 41, std::convert::identity, GOLDEN_FAST_SEED41),
+        ("prc", 46, PlaceOptions::with_router_congestion, GOLDEN_ROUTER_SEED46),
+        ("pel", 52, electro_ladder, GOLDEN_LADDER_SEED52),
+        ("pml", 53, two_levels, GOLDEN_MULTILEVEL_SEED53),
+    ];
+    for (name, seed, configure, golden) in rows {
         for threads in [1usize, 2, 8] {
             let b = bench(name, seed);
-            let mut opts = PlaceOptions::fast().with_threads(threads);
-            if router {
-                opts = opts.with_router_congestion();
-            }
+            let opts = configure(PlaceOptions::fast().with_threads(threads));
             let result = Placer::new(&b.design, opts)
                 .with_initial(b.placement.clone())
                 .run()
@@ -230,7 +249,7 @@ fn budget_truncation_shows_up_in_events_csv() {
 }
 
 // ---------------------------------------------------------------------
-// Injected faults (scripts/ci.sh --faults).
+// Injected faults (`--features fault-inject`, in the default CI gate).
 // ---------------------------------------------------------------------
 
 #[cfg(feature = "fault-inject")]
@@ -308,13 +327,27 @@ mod injected {
         // complete cleanly, a checkpoint exists, and the diverging round
         // must roll back to it.
         let b = bench("cr", 43);
-        let (result, _fired) = run_with_faults(
-            &b,
-            PlaceOptions::fast(),
-            vec![Fault::NanGradient { stage: "gp/inflate0".into(), outer: 0, times: usize::MAX }],
-        );
+        let mut cps: Vec<rdp_core::FlowCheckpoint> = Vec::new();
+        arm(vec![Fault::NanGradient { stage: "gp/inflate0".into(), outer: 0, times: usize::MAX }]);
+        let result = Placer::new(&b.design, PlaceOptions::fast())
+            .with_initial(b.placement.clone())
+            .with_checkpoint_sink(|cp| cps.push(cp.clone()))
+            .run();
+        disarm();
         let result = result.unwrap();
         assert_legal_and_finite(&b, &result);
+        // The rollback restores the flow state as one unit: the legalized
+        // checkpoint carries the restored checkpoint's rounds and density
+        // areas, not the areas the failed round inflated.
+        let stages: Vec<&str> = cps.iter().map(|cp| cp.stage.as_str()).collect();
+        assert_eq!(stages, ["global_place", "legalize"]);
+        let (restored, legal) = (&cps[0], &cps[1]);
+        assert_eq!(legal.rounds_done, restored.rounds_done);
+        assert_eq!(legal.density_area.len(), restored.density_area.len());
+        let inflated = (legal.density_area.iter().zip(&restored.density_area))
+            .filter(|(a, b)| a.to_bits() != b.to_bits())
+            .count();
+        assert_eq!(inflated, 0, "legalize checkpoint kept areas of the failed round");
         let degraded = result.degraded.as_ref().expect("rollback must degrade");
         assert_eq!(degraded.restored_from.as_deref(), Some("global_place"));
         assert!(degraded.events.iter().any(|e| matches!(

@@ -5,7 +5,8 @@
 //! serialization — produces a final placement **bitwise identical** to the
 //! uninterrupted run. These tests pin that contract in estimator-congestion
 //! mode (the router-congestion mode carries non-checkpointed warm routing
-//! state and is documented as resume-approximate).
+//! state and is documented as resume-approximate), plus the sequence of
+//! checkpoints, stage timings and events the stage driver produces.
 
 use rdp_core::{FlowCheckpoint, FlowProgress, PlaceError, PlaceOptions, Placer};
 use rdp_db::Placement;
@@ -150,5 +151,107 @@ fn mismatched_checkpoint_is_rejected_structurally() {
             assert!(!reason.is_empty());
         }
         other => panic!("expected BadResume, got {other:?}"),
+    }
+}
+
+/// What one run leaves behind, in order: the stages its checkpoint sink
+/// sees, the names of its `trace.stages` rows and the kinds of its
+/// recovery events.
+fn stage_sequence(b: &GeneratedBench, opts: PlaceOptions) -> [Vec<String>; 3] {
+    let mut sunk: Vec<String> = Vec::new();
+    let result = Placer::new(&b.design, opts)
+        .with_initial(b.placement.clone())
+        .with_checkpoint_sink(|cp| sunk.push(cp.stage.clone()))
+        .run()
+        .unwrap();
+    let stages = result.trace.stages.iter().map(|s| s.stage.clone()).collect();
+    let kinds = result.trace.events.iter().map(|e| e.kind().to_owned()).collect();
+    [sunk, stages, kinds]
+}
+
+#[test]
+fn stage_sequence_is_pinned_per_configuration() {
+    let b = bench("rsq", 76);
+    let owned = |names: &[&str]| names.iter().map(|&n| n.to_owned()).collect::<Vec<_>>();
+    let saved = "recovery/checkpoint_saved";
+    let rounds = [
+        "gp/inflate0/grad_kernel",
+        saved,
+        "gp/inflate1/grad_kernel",
+        saved,
+        "routability",
+    ];
+    let tail = ["legalize", saved, "detailed"];
+    let gp = ["gp/final/grad_kernel", "global_place", "gp/rotation/grad_kernel", "macro_rotation", saved];
+    let clean = [
+        owned(&["global_place", "inflate0", "inflate1", "legalize"]),
+        owned(&[&gp[..], &rounds, &tail].concat()),
+        owned(&["checkpoint_saved"; 4]),
+    ];
+    let multilevel = [
+        clean[0].clone(),
+        owned(
+            &[&["gp/level2/grad_kernel", "gp/level1/grad_kernel", "gp/level0/grad_kernel"], &gp[..], &rounds, &tail]
+                .concat(),
+        ),
+        clean[2].clone(),
+    ];
+    let truncated = [
+        owned(&["global_place", "legalize"]),
+        owned(&[&gp[..], &["recovery/budget_truncated", "routability"], &tail].concat()),
+        owned(&["checkpoint_saved", "budget_truncated", "checkpoint_saved"]),
+    ];
+
+    let mut no_inflation_time = PlaceOptions::fast();
+    no_inflation_time.budget.inflation_wall = Some(std::time::Duration::ZERO);
+    for (label, opts, expected) in [
+        ("fast", PlaceOptions::fast(), &clean),
+        ("router", PlaceOptions::fast().with_router_congestion(), &clean),
+        ("auto", PlaceOptions::fast().with_estimator(rdp_core::CongestionSchedule::auto()), &clean),
+        ("zero inflation_wall", no_inflation_time, &truncated),
+        ("multilevel", PlaceOptions { cluster_limit: 150, ..PlaceOptions::fast() }, &multilevel),
+    ] {
+        let got = stage_sequence(&b, opts);
+        for (what, got, want) in [
+            ("checkpoint sink", &got[0], &expected[0]),
+            ("trace stages", &got[1], &expected[1]),
+            ("event kinds", &got[2], &expected[2]),
+        ] {
+            assert_eq!(got, want, "{label}: {what}");
+        }
+    }
+}
+
+#[test]
+fn cancel_at_every_checkpoint_stops_there_and_resumes_identically() {
+    let b = bench("rsm", 71);
+    let (base_bits, base_hpwl, cps) = baseline_with_checkpoints(&b, PlaceOptions::fast());
+    let stages: Vec<String> = cps.iter().map(|cp| cp.stage.clone()).collect();
+    assert_eq!(stages, ["global_place", "inflate0", "inflate1", "legalize"]);
+    for stage in &stages {
+        // The token fires while the sink sees `stage`, i.e. mid-flow; the
+        // run must stop at that very checkpoint, not one stage later.
+        let token = Arc::new(AtomicBool::new(false));
+        let raise = Arc::clone(&token);
+        let progress = Placer::new(&b.design, PlaceOptions::fast())
+            .with_initial(b.placement.clone())
+            .with_cancel(token)
+            .with_checkpoint_sink(move |cp| {
+                if cp.stage == *stage {
+                    raise.store(true, std::sync::atomic::Ordering::Relaxed);
+                }
+            })
+            .run_resumable()
+            .unwrap();
+        let FlowProgress::Interrupted(cp) = progress else {
+            panic!("cancel raised at `{stage}` did not interrupt the flow");
+        };
+        assert_eq!(&cp.stage, stage, "cancel raised at `{stage}` stopped elsewhere");
+        let resumed = Placer::new(&b.design, PlaceOptions::fast())
+            .resume_from(cp)
+            .run()
+            .unwrap();
+        assert_eq!(resumed.hpwl.to_bits(), base_hpwl, "hpwl resuming from `{stage}`");
+        assert_eq!(placement_bits(&b, &resumed.placement), base_bits, "placement resuming from `{stage}`");
     }
 }

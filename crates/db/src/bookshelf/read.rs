@@ -349,7 +349,8 @@ fn parse_route(path: &Path, builder: &mut DesignBuilder) -> Result<(), Bookshelf
                     })?;
                     let count: usize =
                         parse_tok(&cur, t, get_tok(&cur, t, 1, "blockage layer count")?, "number")?;
-                    let mut layers = Vec::with_capacity(count);
+                    // The count is the file's claim; the line's tokens bound it.
+                    let mut layers = Vec::with_capacity(count.min(t.tokens.len()));
                     for k in 0..count {
                         let tok = get_tok(&cur, t, 2 + k, "blockage layer")?;
                         layers.push(parse_tok(&cur, t, tok, "layer")?);
@@ -403,7 +404,8 @@ fn parse_shapes(path: &Path, builder: &mut DesignBuilder) -> Result<(), Bookshel
             .node_index_by_name(name)
             .ok_or_else(|| cur.error(l.number, format!("shapes for unknown node `{name}`")))?;
         let count: usize = parse_tok(&cur, l, get_tok(&cur, l, 1, "shape count")?, "number")?;
-        let mut parts = Vec::with_capacity(count);
+        // The count is the file's claim; the lines left bound it.
+        let mut parts = Vec::with_capacity(count.min(lines.len() - i));
         for k in 0..count {
             i += 1;
             let s = lines

@@ -329,3 +329,34 @@ fn rejects_region_with_unknown_member() {
     let err = bookshelf::read_design(dir.join("x.aux")).unwrap_err();
     assert!(err.to_string().contains("GHOST"), "got: {err}");
 }
+
+/// A count read from the file bounds its loop but never sizes an
+/// allocation: a huge `.shapes` part count or `.route` blockage layer
+/// count is a structured parse error, not an allocation abort.
+#[test]
+fn huge_counts_are_parse_errors() {
+    let route = "route 1.0\nGrid : 5 5 2\nVerticalCapacity : 0 10\nHorizontalCapacity : 10 0\nTileSize : 10 10\nNumBlockageNodes : 1\na COUNT 1\n";
+    let shapes = "shapes 1.0\nNumNonRectangularNodes : 1\na : COUNT\n\tShape_0 0 0 1 1\n";
+    for (member, text) in [("x.route", route), ("x.shapes", shapes)] {
+        for count in ["1099511627776", "18446744073709551615"] {
+            let dir = std::env::temp_dir().join("rdp_mal_count");
+            write_benchmark(
+                &dir,
+                &[
+                    ("x.aux", &format!("RowBasedPlacement : x.nodes x.nets x.pl x.scl {member}\n")),
+                    ("x.nodes", "UCLA nodes 1.0\na 3 10\nb 3 10\n"),
+                    ("x.nets", "UCLA nets 1.0\nNetDegree : 2 n0\na B : 0 0\nb B : 0 0\n"),
+                    ("x.pl", "UCLA pl 1.0\n"),
+                    ("x.scl", GOOD_SCL),
+                    (member, &text.replace("COUNT", count)),
+                ],
+            );
+            let err = bookshelf::read_design(dir.join("x.aux")).unwrap_err();
+            let _ = std::fs::remove_dir_all(&dir);
+            assert!(
+                matches!(err, bookshelf::BookshelfError::Parse { .. }),
+                "{member} count {count}: {err}"
+            );
+        }
+    }
+}

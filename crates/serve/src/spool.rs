@@ -136,4 +136,21 @@ mod tests {
         assert!(scan(&dir).is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn checkpoint_with_a_huge_count_is_recovered_as_none() {
+        let dir = tmp_dir("huge");
+        let spec = JobSpec::new(GeneratorConfig::tiny("a", 1));
+        write_spec(&dir, 1, &spec).unwrap();
+        // A corrupt count must not size an allocation: the job restarts
+        // from scratch instead of the server aborting.
+        let header = "rdp-checkpoint v1\nstage global_place\nlegal 0\nrounds_done 0\n\
+                      hpwl 3ff0000000000000\ngp 0000000000000000 0 0000000000000000 0 0\n";
+        fs::write(ckpt_path(&dir, 1), format!("{header}nodes 1099511627776\n")).unwrap();
+        let jobs = scan(&dir);
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].1, spec);
+        assert!(jobs[0].2.is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

@@ -2,18 +2,16 @@
 # Offline CI gate: build, test, lint. No network access required — the
 # workspace has zero external dependencies (see README "Offline builds").
 #
-# Usage: scripts/ci.sh [--full|--faults|--chaos]
+# Usage: scripts/ci.sh [--full|--chaos]
 #   --full    also exercise the feature-gated targets: property-tests
 #             (larger randomized-test case counts), the bench binaries and
 #             the full chaos batch (two mid-batch server kills).
-#   --faults  also run the fault-injection resilience suite (rdp-core with
-#             the `fault-inject` feature; the 1/2/8-thread invariance sweep
-#             happens inside the tests themselves).
 #   --chaos   also run the full rdp-serve suite with the `chaos` feature
 #             (service-level fault injection against the job server).
 #
 # The default gate already includes the chaos *smoke* batch (one server
-# kill mid-batch): it is the acceptance bar for the serve layer.
+# kill mid-batch), the acceptance bar for the serve layer, and the
+# fault-injection resilience suite of the placer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,15 +53,16 @@ run cargo run --release -p rdp-bench --bin bench_estimator -- --smoke
 # job must land terminal with placements bitwise identical to a serial
 # one-job-at-a-time run.
 run cargo test -p rdp-serve --features chaos -q --test chaos
+# Fault-injection resilience suite: the only tests that drive the placer's
+# rollback, fallback and budget-truncation paths (rdp-core with the
+# `fault-inject` feature; the 1/2/8-thread invariance sweep happens inside
+# the tests themselves).
+run cargo test -p rdp-core --features fault-inject -q
+run cargo clippy -p rdp-core --all-targets --features fault-inject -- -D warnings
 
 if [[ "${1:-}" == "--chaos" ]]; then
   run cargo test -p rdp-serve --features chaos -q
   run cargo clippy -p rdp-serve --all-targets --features chaos -- -D warnings
-fi
-
-if [[ "${1:-}" == "--faults" ]]; then
-  run cargo test -p rdp-core --features fault-inject -q
-  run cargo clippy -p rdp-core --all-targets --features fault-inject -- -D warnings
 fi
 
 if [[ "${1:-}" == "--full" ]]; then
