@@ -50,15 +50,18 @@ impl Eq for HeapEntry {}
 
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on f via `total_cmp` (never maps incomparable floats to
-        // `Equal` — NaNs are rejected at `EdgeCosts` construction, and
-        // total order keeps the heap consistent even if one slipped
-        // through). Ties break on g (deeper-in-the-search first), then on
-        // cell, so pop order is fully deterministic.
+        // Min-heap on f; ties break on g (deeper-in-the-search first), then
+        // on cell, so pop order is fully deterministic. `f` and `g` are
+        // compared by bit pattern: `EdgeCosts` guarantees finite costs
+        // > 0, so every `f` and `g` is a finite value ≥ +0, where the
+        // unsigned bit order *is* the `f64::total_cmp` order. It is a
+        // total order on any bits, so even a NaN that slipped through
+        // would never collapse to `Equal` with a number.
         other
             .f
-            .total_cmp(&self.f)
-            .then_with(|| self.g.total_cmp(&other.g))
+            .to_bits()
+            .cmp(&self.f.to_bits())
+            .then_with(|| self.g.to_bits().cmp(&other.g.to_bits()))
             .then_with(|| other.cell.cmp(&self.cell))
     }
 }
@@ -91,11 +94,12 @@ impl Eq for HeapEntry3 {}
 impl Ord for HeapEntry3 {
     fn cmp(&self, other: &Self) -> Ordering {
         // Same discipline as [`HeapEntry`]: min-f, then deeper g, then the
-        // smaller state index, so pop order is fully deterministic.
+        // smaller state index, with `f` and `g` compared by bit pattern.
         other
             .f
-            .total_cmp(&self.f)
-            .then_with(|| self.g.total_cmp(&other.g))
+            .to_bits()
+            .cmp(&self.f.to_bits())
+            .then_with(|| self.g.to_bits().cmp(&other.g.to_bits()))
             .then_with(|| other.idx.cmp(&self.idx))
     }
 }
@@ -202,6 +206,7 @@ pub fn search(
     let h_scale = costs.min_cost();
     let h = |c: GCell| f64::from(c.manhattan(to)) * h_scale;
     let from_i = grid.cell_index(from);
+    let to_i = grid.cell_index(to);
     scratch.set(from_i, 0.0, NO_PARENT);
     scratch.heap.push(HeapEntry { f: h(from), g: 0.0, cell: from });
 
@@ -224,13 +229,23 @@ pub fn search(
             // *to* the target (all costs are > 0): skip them.
             continue;
         }
+        // Once the target holds a label, its entry with `f` = that label
+        // is queued (h is 0 there) and pops before any entry with a larger
+        // `f`; from then on `target_g` ≤ the label stops the loop at such
+        // an entry. So a relaxation above the bound records its label but
+        // queues nothing — the pop order and the result are unchanged.
+        // (A stale bound is larger, hence still safe.)
+        let bound = scratch.g(to_i);
         let relax = |n: GCell, e: EdgeId, scratch: &mut MazeScratch| {
             let ni = grid.cell_index(n);
             let ng = g + costs.cost(e);
             let cur = scratch.g(ni);
             if ng < cur {
                 scratch.set(ni, ng, ci as u32);
-                scratch.heap.push(HeapEntry { f: ng + h(n), g: ng, cell: n });
+                let nf = ng + h(n);
+                if nf <= bound {
+                    scratch.heap.push(HeapEntry { f: nf, g: ng, cell: n });
+                }
             } else if ng == cur && (ci as u32) < scratch.parent_of(ni) {
                 // Exact cost tie: the lexicographically smallest parent
                 // wins, making the parent array independent of
@@ -336,12 +351,18 @@ pub fn search3(
         }
         let (l, rem) = (ci as u32 / (nx * ny), ci as u32 % (nx * ny));
         let (y, x) = (rem / nx, rem % nx);
+        // Entries above the target's current label are never queued (see
+        // [`search`]).
+        let bound = scratch.g(to_i);
         let relax = |ni: usize, e: EdgeId, nh: f64, scratch: &mut MazeScratch| {
             let ng = g + costs.cost(e);
             let cur = scratch.g(ni);
             if ng < cur {
                 scratch.set(ni, ng, ci as u32);
-                scratch.heap3.push(HeapEntry3 { f: ng + nh, g: ng, idx: ni as u32 });
+                let nf = ng + nh;
+                if nf <= bound {
+                    scratch.heap3.push(HeapEntry3 { f: nf, g: ng, idx: ni as u32 });
+                }
             } else if ng == cur && (ci as u32) < scratch.parent_of(ni) {
                 scratch.set(ni, ng, ci as u32);
             }
@@ -662,5 +683,45 @@ mod tests {
         assert_eq!(e(1.0, 1.0, 1).cmp(&e(1.0, 1.0, 2)), Ordering::Greater);
         // NaN does not collapse to Equal (total order).
         assert_ne!(e(f64::NAN, 0.0, 0).cmp(&e(1.0, 0.0, 0)), Ordering::Equal);
+    }
+
+    #[test]
+    fn bit_pattern_order_equals_total_cmp_order() {
+        use rdp_geom::rng::Rng;
+        // The `total_cmp` order the heaps used before comparing bits.
+        fn reference(a: (f64, f64, u32), b: (f64, f64, u32)) -> Ordering {
+            b.0.total_cmp(&a.0).then_with(|| a.1.total_cmp(&b.1)).then_with(|| b.2.cmp(&a.2))
+        }
+        let mut rng = Rng::seed_from_u64(0xB175);
+        // Finite values ≥ +0 across every magnitude, plus a few exact
+        // repeats so ties on `f` and `g` occur often.
+        let value = |rng: &mut Rng| match rng.gen_range(0u32..5) {
+            0 => [0.0, 1.0, 2.5, 7.0][rng.gen_range(0usize..4)],
+            1 => f64::from_bits(rng.gen_range(0u64..1 << 52)), // subnormal or +0
+            2 => rng.gen_range(0.0..1e3),
+            3 => f64::from_bits(rng.gen_range(0u64..=f64::MAX.to_bits())),
+            _ => f64::MAX,
+        };
+        for _ in 0..20_000 {
+            let a = (value(&mut rng), value(&mut rng), rng.gen_range(0u32..4));
+            let b = (value(&mut rng), value(&mut rng), rng.gen_range(0u32..4));
+            for v in [a.0, a.1, b.0, b.1] {
+                assert!(v.is_finite() && v.is_sign_positive());
+            }
+            let want = reference(a, b);
+            let e2 = |(f, g, c): (f64, f64, u32)| HeapEntry { f, g, cell: GCell::new(c, 0) };
+            let e3 = |(f, g, idx): (f64, f64, u32)| HeapEntry3 { f, g, idx };
+            assert_eq!(e2(a).cmp(&e2(b)), want, "{a:?} vs {b:?}");
+            assert_eq!(e3(a).cmp(&e3(b)), want, "{a:?} vs {b:?}");
+        }
+        // NaN still never compares `Equal` with a number, on either field.
+        for x in [0.0, 1.0, f64::MAX, f64::INFINITY] {
+            for nan in [f64::NAN, -f64::NAN] {
+                let n = HeapEntry3 { f: nan, g: 0.0, idx: 0 };
+                assert_ne!(n.cmp(&HeapEntry3 { f: x, g: 0.0, idx: 0 }), Ordering::Equal);
+                let n = HeapEntry { f: 1.0, g: nan, cell: GCell::new(0, 0) };
+                assert_ne!(n.cmp(&HeapEntry { f: 1.0, g: x, cell: GCell::new(0, 0) }), Ordering::Equal);
+            }
+        }
     }
 }

@@ -4,12 +4,13 @@
 //!
 //! The negotiation rounds are deterministic-parallel: each round rips up
 //! every segment crossing overflow, snapshots the edge costs once
-//! ([`EdgeCosts`]), reroutes the ripped segments in fixed-size chunks on
-//! worker threads against that immutable snapshot (canonical A\* over the
-//! whole grid with a reusable per-worker [`MazeScratch`]), and folds the
-//! new usage back in segment order — bitwise identical at every thread
-//! count. Overflowed edges are tracked incrementally across rounds instead
-//! of rescanning the whole grid.
+//! ([`EdgeCosts`]), searches each distinct `(from, to)` request of the
+//! ripped segments once, in fixed-size chunks on worker threads against
+//! that immutable snapshot (canonical A\* over the whole grid with a
+//! reusable per-worker [`MazeScratch`]), and folds the new paths and
+//! usage back in segment order — bitwise identical at every thread count.
+//! Overflowed edges are tracked incrementally across rounds instead of
+//! rescanning the whole grid.
 //!
 //! For the placer's inflation loop, where each round moves only a small
 //! fraction of cells, [`GlobalRouter::reroute_incremental`] resumes from a
@@ -32,10 +33,10 @@ use std::time::{Duration, Instant};
 /// usage merge order never depends on the thread count.
 const NET_CHUNK: usize = 128;
 
-/// Ripped segments per parallel work chunk in a reroute round. Fixed so
-/// chunk composition (and thus every intra-chunk float accumulation)
-/// never depends on the thread count. Smaller than [`NET_CHUNK`] because
-/// a maze search is far heavier than a pattern route.
+/// Distinct segment requests per parallel work chunk in a reroute round.
+/// Fixed so chunk composition never depends on the thread count. Smaller
+/// than [`NET_CHUNK`] because a maze search is far heavier than a pattern
+/// route.
 const SEG_CHUNK: usize = 32;
 
 /// Retained segments per parallel work chunk in the warm-start partition
@@ -657,11 +658,15 @@ impl GlobalRouter {
             // search is a single array load.
             let costs = EdgeCosts::build_par(grid, self.config.cost, &self.config.parallelism);
 
-            // Reroute the ripped segments in fixed-size chunks against the
+            // Each search is a pure function of the frozen costs and its
+            // two endpoints, and a congested round repeats many requests.
+            // So the round's distinct `(from, to)` pairs, sorted, are
+            // searched once each, in fixed-size chunks against the
             // round-start snapshot; each worker reuses one scratch for all
-            // its searches. Results are folded in segment order below, so
-            // the round is bitwise identical at every thread count.
-            let requests: Vec<Segment> = ripped.iter().map(|&i| routed[i].segment).collect();
+            // its searches. The paths are folded back in segment order
+            // below, so the round is bitwise identical at every thread
+            // count.
+            let (requests, slot) = distinct_requests(ripped.len(), |k| routed[ripped[k]].segment);
             let seg_spans: Vec<_> = chunk_spans(requests.len(), SEG_CHUNK).collect();
             let rerouted: Vec<Vec<Vec<EdgeId>>> = {
                 let g: &RouteGrid = grid;
@@ -671,10 +676,9 @@ impl GlobalRouter {
                     seg_spans.len(),
                     MazeScratch::new,
                     |scratch, ci| {
-                        seg_spans[ci]
-                            .clone()
-                            .map(|k| {
-                                let s = requests[k];
+                        requests[seg_spans[ci].clone()]
+                            .iter()
+                            .map(|s| {
                                 if use3d {
                                     search3(g, costs, s.from, s.to, scratch)
                                 } else {
@@ -685,13 +689,27 @@ impl GlobalRouter {
                     },
                 )
             };
-            for (k, path) in rerouted.into_iter().flatten().enumerate() {
-                let i = ripped[k];
-                for &e in &path {
+            let mut paths: Vec<Vec<EdgeId>> = rerouted.into_iter().flatten().collect();
+            // Uses left per path: earlier segments sharing a path copy it
+            // into their own old edge buffer (no new allocation), the last
+            // one takes it, so the path table empties as the fold goes.
+            let mut uses = vec![0u32; paths.len()];
+            for &u in &slot {
+                uses[u as usize] += 1;
+            }
+            for (&i, &u) in ripped.iter().zip(&slot) {
+                let u = u as usize;
+                uses[u] -= 1;
+                let edges = &mut routed[i].edges;
+                if uses[u] == 0 {
+                    *edges = std::mem::take(&mut paths[u]);
+                } else {
+                    edges.clone_from(&paths[u]);
+                }
+                for &e in edges.iter() {
                     grid.add_usage(e, 1.0);
                     touched.push(e.0);
                 }
-                routed[i].edges = path;
             }
 
             // Incremental overflow maintenance: only edges whose usage
@@ -750,6 +768,26 @@ impl GlobalRouter {
             grid,
         }
     }
+}
+
+/// The distinct `(from, to)` pairs among the `n` segments `seg(0..n)`,
+/// sorted, and for each segment the index of its pair.
+fn distinct_requests(n: usize, seg: impl Fn(usize) -> Segment) -> (Vec<Segment>, Vec<u32>) {
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_unstable_by_key(|&k| {
+        let s = seg(k as usize);
+        (s.from, s.to)
+    });
+    let mut requests: Vec<Segment> = Vec::new();
+    let mut slot = vec![0u32; n];
+    for k in order {
+        let s = seg(k as usize);
+        if requests.last() != Some(&s) {
+            requests.push(s);
+        }
+        slot[k as usize] = (requests.len() - 1) as u32;
+    }
+    (requests, slot)
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 use rdp_geom::rng::Rng;
 use rdp_geom::Point;
 use rdp_route::pattern::{edge_cost, CostParams, EdgeCosts};
-use rdp_route::{maze, GCell, MazeScratch, RouteGrid};
+use rdp_route::LayerDir::{Horizontal, Vertical};
+use rdp_route::{maze, EdgeId, GCell, MazeScratch, RouteGrid};
 
 /// Random congestion fields checked per run.
 const CASES: u64 = if cfg!(feature = "property-tests") { 96 } else { 24 };
@@ -158,4 +159,46 @@ fn canonical_path_is_stable_under_scratch_history() {
     }
     let reused = maze::search(&grid, &costs, from, to, &mut dirty);
     assert_eq!(clean, reused);
+}
+
+#[test]
+fn canonical_3d_path_is_stable_under_scratch_history() {
+    // The layered search must be just as pure as the planar one: the same
+    // query returns the identical path through a fresh scratch, a scratch
+    // that just answered it, and a scratch that has since served other
+    // 3-D and 2-D queries. The router searches each distinct request of a
+    // round once and shares the path, which is only sound if this holds.
+    let params = CostParams::default();
+    let layers = [(Horizontal, 4.0), (Vertical, 4.0), (Horizontal, 4.0), (Vertical, 4.0)];
+    let mut grid = RouteGrid::uniform_layers(N, N, Point::ORIGIN, 1.0, 1.0, &layers, Some(6.0));
+    let mut rng = Rng::seed_from_u64(0xCAFE_003D);
+    for e in 0..grid.num_edges() as u32 {
+        let e = EdgeId(e);
+        grid.add_usage(e, rng.gen_range(0.0..10.0));
+        if rng.gen_range(0.0..1.0) < 0.2 {
+            grid.add_history(e, rng.gen_range(0.0..5.0));
+        }
+    }
+    let costs = EdgeCosts::build(&grid, params);
+    let planar = RouteGrid::uniform(N, N, Point::ORIGIN, 1.0, 1.0, 4.0, 4.0);
+    let planar_costs = EdgeCosts::build(&planar, params);
+    let mut scratch = MazeScratch::new();
+    for _ in 0..8 {
+        let from = GCell::new(rng.gen_range(0u32..N), rng.gen_range(0u32..N));
+        let to = GCell::new(rng.gen_range(0u32..N), rng.gen_range(0u32..N));
+        let fresh = maze::search3(&grid, &costs, from, to, &mut MazeScratch::new());
+        assert_eq!(fresh.is_empty(), from == to);
+        let reused = maze::search3(&grid, &costs, from, to, &mut scratch);
+        let again = maze::search3(&grid, &costs, from, to, &mut scratch);
+        for _ in 0..10 {
+            let a = GCell::new(rng.gen_range(0u32..N), rng.gen_range(0u32..N));
+            let b = GCell::new(rng.gen_range(0u32..N), rng.gen_range(0u32..N));
+            let _ = maze::search3(&grid, &costs, a, b, &mut scratch);
+            let _ = maze::search(&planar, &planar_costs, b, a, &mut scratch);
+        }
+        let interleaved = maze::search3(&grid, &costs, from, to, &mut scratch);
+        assert_eq!(fresh, reused, "{from:?} -> {to:?}: reused scratch");
+        assert_eq!(fresh, again, "{from:?} -> {to:?}: repeated query");
+        assert_eq!(fresh, interleaved, "{from:?} -> {to:?}: after other queries");
+    }
 }

@@ -158,3 +158,34 @@ fn projected_routes_match_golden() {
 fn layered_routes_match_golden() {
     check(LayerMode::Layered, 1);
 }
+
+/// The router searches each distinct `(from, to)` request of a round once
+/// and shares the path among the segments that repeat it. The goldens only
+/// cover that sharing if the supply-tight design repeats requests among
+/// the segments negotiation rips: guard it (on the segments still crossing
+/// overflow at the end, the set a further round would rip), so a generator
+/// change cannot silently end the coverage.
+#[test]
+fn supply_tight_design_repeats_requests() {
+    let bench = bench(1);
+    for mode in [LayerMode::Projected, LayerMode::Layered] {
+        let out = GlobalRouter::new(RouterConfig::builder().layers(mode).build())
+            .route(&bench.design, &bench.placement);
+        let crossing: Vec<_> = out
+            .segments
+            .iter()
+            .filter(|rs| rs.edges.iter().any(|e| out.overflowed.binary_search(&e.0).is_ok()))
+            .map(|rs| (rs.segment.from, rs.segment.to))
+            .collect();
+        let mut distinct = crossing.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(out.iterations > 0, "{mode:?}: no negotiation round ran");
+        assert!(
+            distinct.len() < crossing.len(),
+            "{mode:?}: the {} segments crossing overflow make {} distinct requests",
+            crossing.len(),
+            distinct.len()
+        );
+    }
+}

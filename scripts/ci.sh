@@ -23,6 +23,10 @@ run() {
 run cargo build --release --workspace
 run cargo test --workspace -q
 run cargo clippy --workspace --all-targets -- -D warnings
+# The router's randomized sweeps at full case count (about 1 s): A* path
+# optimality and scratch purity, which the per-round request sharing
+# relies on, and the warm-start contract.
+run cargo test -p rdp-route --features property-tests -q --test maze_optimality --test incremental_equivalence
 # The repository benchmark harness is a workspace of its own, so the
 # workspace test above does not reach it: run its tests (every workload
 # at smoke scale, plus its correctness checks) explicitly.
