@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
-//! Shared plumbing for the table/figure regeneration binaries.
+//! Shared plumbing for the table/figure regeneration binaries, plus the run
+//! metadata helpers the repository benchmark (`rdpbench/`) uses.
 //!
 //! Every table and figure of the paper's evaluation maps to one `[[bin]]`
 //! target in this crate (see DESIGN.md §4 for the index). All binaries
@@ -82,210 +83,6 @@ pub fn git_revision() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Disjoint flow-stage accounting for benchmark JSON.
-///
-/// # Stage-accounting schema
-///
-/// The placement trace records two kinds of wall-clock rows, told apart by
-/// their name:
-///
-/// * **Top-level stages** — no `/` in the name (`global_place`,
-///   `macro_rotation`, `routability`, `legalize`, `detailed`). Each is
-///   timed by its own disjoint interval of the flow, so their durations,
-///   plus a synthesized `other` row (model build, checkpointing,
-///   validation — everything between stage timers), form a **partition of
-///   the flow wall-clock**: `flow_seconds == Σ stages[*].seconds` up to
-///   rounding.
-/// * **Substages** — names containing `/` (`gp/<stage>/grad_kernel`
-///   kernel-time rows, zero-duration `recovery/<kind>` event markers).
-///   These are measured *inside* a top-level stage and therefore **overlap
-///   their parent**; they must never be added to the top-level rows.
-///
-/// `BENCH_scale.json` writes the two kinds to separate arrays
-/// (`flow.stages` — the disjoint partition including `other`;
-/// `flow.substages` — informational nested timers) so consumers cannot
-/// accidentally double-count. Repeated rows with the same name (e.g. one
-/// `grad_kernel` row per GP invocation) are merged by summing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageAccounting {
-    /// Disjoint partition of the flow wall-clock, in first-recorded order,
-    /// ending with the synthesized `other` row. Sums to the flow seconds.
-    pub stages: Vec<(String, f64)>,
-    /// Informational `/`-named rows (kernel timers, recovery markers), in
-    /// first-recorded order, each merged over repeats. Overlap `stages`.
-    pub substages: Vec<(String, f64)>,
-}
-
-/// Splits raw trace rows `(name, seconds)` into the disjoint top-level
-/// partition and the overlapping substage detail per the
-/// [schema](StageAccounting). `flow_s` is the total flow wall-clock; the
-/// synthesized `other` row is clamped at zero so measurement jitter can
-/// never produce a negative stage.
-pub fn partition_stages(rows: &[(String, f64)], flow_s: f64) -> StageAccounting {
-    let mut stages: Vec<(String, f64)> = Vec::new();
-    let mut substages: Vec<(String, f64)> = Vec::new();
-    for (name, secs) in rows {
-        let out = if name.contains('/') { &mut substages } else { &mut stages };
-        match out.iter_mut().find(|(n, _)| n == name) {
-            Some((_, s)) => *s += secs,
-            None => out.push((name.clone(), *secs)),
-        }
-    }
-    let covered: f64 = stages.iter().map(|(_, s)| s).sum();
-    stages.push(("other".into(), (flow_s - covered).max(0.0)));
-    StageAccounting { stages, substages }
-}
-
-/// Emits a loud warning when the effective kernel parallelism is 1 (single
-/// core, or an explicit single-thread override) and returns whether the
-/// run is degraded. Benchmark binaries record the result as the
-/// `degraded_parallelism` JSON flag so downstream consumers know the
-/// recorded numbers cannot demonstrate multi-thread speedups.
-pub fn warn_if_degraded(binary: &str, par: &rdp_geom::parallel::Parallelism) -> bool {
-    let degraded = par.effective_threads() == 1;
-    if degraded {
-        eprintln!(
-            "[{binary}] WARNING: effective_threads() == 1 ({} core(s) available) — \
-             parallel kernels run inline; recorded timings cannot show \
-             multi-thread speedups. JSON is flagged \"degraded_parallelism\": true.",
-            detected_cores()
-        );
-    }
-    degraded
-}
-
-/// A recorded `BENCH_scale.json` baseline for regression checking.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ScaleBaseline {
-    /// Kernel threads the baseline was recorded with.
-    pub kernel_threads: usize,
-    /// `(cells, gradient_fused_s)` per recorded size row.
-    pub fused_s: Vec<(usize, f64)>,
-    /// Whether the baseline run had its parallelism degraded to a single
-    /// effective thread. `None` when the file predates the flag — older
-    /// baselines stay usable; callers should warn instead of failing.
-    pub degraded_parallelism: Option<bool>,
-    /// Whether the file carries a `previous_run` comparison block. Older
-    /// files without one are still valid baselines.
-    pub has_previous_run: bool,
-}
-
-impl ScaleBaseline {
-    /// Warnings about fields the baseline file predates. Legacy files are
-    /// tolerated — the regression gate emits these and carries on rather
-    /// than hard-failing on a stale format.
-    pub fn format_warnings(&self) -> Vec<String> {
-        let mut warns = Vec::new();
-        if self.degraded_parallelism.is_none() {
-            warns.push(
-                "baseline predates the degraded_parallelism flag; assuming it was \
-                 recorded at full parallelism"
-                    .into(),
-            );
-        }
-        if !self.has_previous_run {
-            warns.push(
-                "baseline has no previous_run block; before/after comparison \
-                 unavailable"
-                    .into(),
-            );
-        }
-        warns
-    }
-}
-
-/// Reads the fields needed for the fused-gradient regression gate from a
-/// previously written `BENCH_scale.json`. The file is produced by this
-/// crate, so a line-oriented scan of `"key": value` pairs suffices (no
-/// JSON dependency — the workspace builds offline). Returns `None` when
-/// the file is unreadable or predates the `gradient_fused_s` field.
-/// Missing `degraded_parallelism` / `previous_run` fields (files written
-/// by older bench versions) are tolerated and surfaced through
-/// [`ScaleBaseline::format_warnings`], not treated as a hard failure.
-pub fn read_scale_baseline(path: &str) -> Option<ScaleBaseline> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let num_after = |line: &str, key: &str| -> Option<f64> {
-        let rest = line.split(&format!("\"{key}\":")).nth(1)?;
-        rest.trim().trim_end_matches(',').parse().ok()
-    };
-    let bool_after = |line: &str, key: &str| -> Option<bool> {
-        let rest = line.split(&format!("\"{key}\":")).nth(1)?;
-        rest.trim().trim_end_matches(',').parse().ok()
-    };
-    let mut base = ScaleBaseline::default();
-    let mut cells: Option<usize> = None;
-    for line in text.lines() {
-        if let Some(v) = num_after(line, "kernel_threads") {
-            if base.kernel_threads == 0 {
-                base.kernel_threads = v as usize;
-            }
-        } else if let Some(v) = bool_after(line, "degraded_parallelism") {
-            if base.degraded_parallelism.is_none() {
-                base.degraded_parallelism = Some(v);
-            }
-        } else if line.contains("\"previous_run\":") {
-            base.has_previous_run = true;
-        } else if let Some(v) = num_after(line, "cells") {
-            cells = Some(v as usize);
-        } else if let Some(v) = num_after(line, "gradient_fused_s") {
-            base.fused_s.push((cells?, v));
-        }
-    }
-    (base.kernel_threads > 0 && !base.fused_s.is_empty()).then_some(base)
-}
-
-/// Key numbers of a previously recorded `BENCH_scale.json`, used to emit
-/// before/after rows when the file is regenerated.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PriorScale {
-    /// Git revision stamped into the prior run.
-    pub git_revision: String,
-    /// `(cells, gradient_new_s)` per prior size row.
-    pub gradient_s: Vec<(usize, f64)>,
-    /// `(cells, seconds)` of the prior end-to-end flow, when recorded.
-    pub flow: Option<(usize, f64)>,
-}
-
-/// Reads the before/after comparison fields from an existing
-/// `BENCH_scale.json` (same line-oriented scan as
-/// [`read_scale_baseline`]). Returns `None` when the file is absent or
-/// holds no size rows.
-pub fn read_prior_scale(path: &str) -> Option<PriorScale> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let num_after = |line: &str, key: &str| -> Option<f64> {
-        let rest = line.split(&format!("\"{key}\":")).nth(1)?;
-        rest.trim().trim_end_matches(',').parse().ok()
-    };
-    let mut prior = PriorScale::default();
-    let mut cells: Option<usize> = None;
-    let mut in_flow = false;
-    let mut flow_cells: Option<usize> = None;
-    for line in text.lines() {
-        if let Some(rev) = line.split("\"git_revision\":").nth(1) {
-            // Keep the first (top-level) revision: the file's own nested
-            // `previous_run.git_revision` names the run *it* replaced.
-            if prior.git_revision.is_empty() {
-                prior.git_revision = rev.trim().trim_matches([',', '"', ' ']).to_string();
-            }
-        } else if line.contains("\"flow\":") {
-            in_flow = true;
-        } else if let Some(v) = num_after(line, "cells") {
-            if in_flow {
-                flow_cells = Some(v as usize);
-            } else {
-                cells = Some(v as usize);
-            }
-        } else if let Some(v) = num_after(line, "gradient_new_s") {
-            prior.gradient_s.push((cells?, v));
-        } else if in_flow && prior.flow.is_none() {
-            if let Some(v) = num_after(line, "seconds") {
-                prior.flow = Some((flow_cells?, v));
-            }
-        }
-    }
-    (!prior.gradient_s.is_empty()).then_some(prior)
-}
-
 /// Geometric mean of strictly positive values (the contest's aggregate).
 pub fn geomean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -325,88 +122,6 @@ mod tests {
         assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 0.0);
         assert!((geomean(&[5.0]) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stage_partition_is_disjoint_and_sums_to_flow() {
-        let rows = vec![
-            ("global_place".to_string(), 10.0),
-            ("gp/level0/grad_kernel".to_string(), 4.0),
-            ("gp/level1/grad_kernel".to_string(), 3.0),
-            ("recovery/step_halved".to_string(), 0.0),
-            ("routability".to_string(), 5.0),
-            ("gp/inflate1/grad_kernel".to_string(), 2.0),
-            ("legalize".to_string(), 3.0),
-        ];
-        let acc = partition_stages(&rows, 20.0);
-        // Top-level rows + synthesized `other` partition the flow.
-        let total: f64 = acc.stages.iter().map(|(_, s)| s).sum();
-        assert!((total - 20.0).abs() < 1e-12);
-        assert_eq!(acc.stages.last().unwrap(), &("other".to_string(), 2.0));
-        assert!(acc.stages.iter().all(|(n, _)| !n.contains('/')));
-        // Substages keep the kernel rows (overlapping, not part of the sum).
-        assert_eq!(acc.substages.len(), 4);
-        assert!(acc.substages.iter().all(|(n, _)| n.contains('/')));
-    }
-
-    #[test]
-    fn stage_partition_merges_repeats_and_clamps_other() {
-        let rows = vec![
-            ("legalize".to_string(), 2.0),
-            ("legalize".to_string(), 1.5),
-            ("gp/a/grad_kernel".to_string(), 1.0),
-            ("gp/a/grad_kernel".to_string(), 0.5),
-        ];
-        let acc = partition_stages(&rows, 3.0); // covered 3.5 > flow 3.0
-        assert_eq!(acc.stages, vec![("legalize".to_string(), 3.5), ("other".to_string(), 0.0)]);
-        assert_eq!(acc.substages, vec![("gp/a/grad_kernel".to_string(), 1.5)]);
-    }
-
-    #[test]
-    fn scale_baseline_roundtrip() {
-        let json = "{\n  \"kernel_threads\": 8,\n  \"sizes\": [\n    {\n      \"cells\": 10000,\n      \"gradient_fused_s\": 0.0123,\n    },\n    {\n      \"cells\": 50000,\n      \"gradient_fused_s\": 0.0456\n    }\n  ]\n}\n";
-        let dir = std::env::temp_dir().join("rdp_bench_baseline_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_scale.json");
-        std::fs::write(&path, json).unwrap();
-        let base = read_scale_baseline(path.to_str().unwrap()).unwrap();
-        assert_eq!(base.kernel_threads, 8);
-        assert_eq!(base.fused_s, vec![(10_000, 0.0123), (50_000, 0.0456)]);
-        assert_eq!(read_scale_baseline("/nonexistent/path.json"), None);
-        // The legacy file (no degraded_parallelism / previous_run) still
-        // parses — the missing fields only produce warnings.
-        assert_eq!(base.degraded_parallelism, None);
-        assert!(!base.has_previous_run);
-        assert_eq!(base.format_warnings().len(), 2);
-    }
-
-    #[test]
-    fn scale_baseline_reads_new_format_fields() {
-        let json = "{\n  \"kernel_threads\": 4,\n  \"degraded_parallelism\": true,\n  \"sizes\": [\n    {\n      \"cells\": 10000,\n      \"gradient_fused_s\": 0.0123\n    }\n  ],\n  \"previous_run\": {\n    \"git_revision\": \"abc\"\n  }\n}\n";
-        let dir = std::env::temp_dir().join("rdp_bench_baseline_new_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_scale.json");
-        std::fs::write(&path, json).unwrap();
-        let base = read_scale_baseline(path.to_str().unwrap()).unwrap();
-        assert_eq!(base.degraded_parallelism, Some(true));
-        assert!(base.has_previous_run);
-        assert!(base.format_warnings().is_empty());
-    }
-
-    #[test]
-    fn prior_scale_reads_gradient_and_flow() {
-        let json = "{\n  \"git_revision\": \"abc123\",\n  \"sizes\": [\n    {\n      \"cells\": 10000,\n      \"gradient_new_s\": 0.0049,\n    }\n  ],\n  \"previous_run\": {\n    \"git_revision\": \"def456\"\n  },\n  \"flow\": {\n    \"cells\": 1000000,\n    \"seconds\": 449.72,\n    \"stages\": [\n      { \"stage\": \"legalize\", \"seconds\": 70.660 }\n    ]\n  }\n}\n";
-        let dir = std::env::temp_dir().join("rdp_bench_prior_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_scale.json");
-        std::fs::write(&path, json).unwrap();
-        let prior = read_prior_scale(path.to_str().unwrap()).unwrap();
-        // Top-level revision wins over the nested previous_run one.
-        assert_eq!(prior.git_revision, "abc123");
-        assert_eq!(prior.gradient_s, vec![(10_000, 0.0049)]);
-        // Only the flow's own wall-clock is captured, not stage rows.
-        assert_eq!(prior.flow, Some((1_000_000, 449.72)));
-        assert_eq!(read_prior_scale("/nonexistent.json"), None);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Process memory introspection for the scaling benchmarks.
+//! Process memory introspection for the benchmark harness.
 
 /// Peak resident set size of the current process in bytes, read from
 /// `VmHWM` in `/proc/self/status`. Returns `None` when the information is

@@ -29,8 +29,9 @@
 //!    then a sequential member-order scatter into the object gradient.
 //!
 //! The penalty/residual reduction between passes 3 and 4 stays sequential
-//! so its rounding order is trivially canonical. The `reference` module
-//! keeps the pre-refactor kernel; property tests pin bitwise equality.
+//! so its rounding order is trivially canonical. The pre-refactor kernel
+//! survives as a test oracle in `tests/reference/`; the layout-equivalence
+//! tests pin bitwise equality.
 
 use crate::model::Model;
 use rdp_geom::parallel::{
@@ -148,6 +149,26 @@ impl BinGrid {
         self.bin_h
     }
 
+    /// Bins along x and along y.
+    pub fn dims(&self) -> (usize, usize) {
+        (self.nx, self.ny)
+    }
+
+    /// Lower-left corner of bin `(0, 0)`.
+    pub fn origin(&self) -> Point {
+        self.origin
+    }
+
+    /// Free capacity per bin, row-major.
+    pub fn capacity(&self) -> &[f64] {
+        &self.capacity
+    }
+
+    /// Target per bin (capacity × target density), row-major.
+    pub fn target(&self) -> &[f64] {
+        &self.target
+    }
+
     /// Removes `occupancy` (0..=1) of the overlap of `rect` with each bin
     /// from that bin's capacity (and scales its target accordingly).
     pub fn block_rect(&mut self, rect: Rect, occupancy: f64, target_density: f64) {
@@ -180,13 +201,6 @@ impl BinGrid {
         let a = ((lo - self.origin.y) / self.bin_h).floor().max(0.0) as usize;
         let b = ((hi - self.origin.y) / self.bin_h).floor().max(0.0) as usize;
         (a.min(self.ny - 1), b.min(self.ny - 1))
-    }
-
-    pub(crate) fn bin_center(&self, bx: usize, by: usize) -> Point {
-        Point::new(
-            self.origin.x + (bx as f64 + 0.5) * self.bin_w,
-            self.origin.y + (by as f64 + 0.5) * self.bin_h,
-        )
     }
 
     /// Total free capacity.
@@ -622,7 +636,7 @@ impl DensityField {
     /// member order, penalty reduction in bin order, gradient scatter in
     /// member order) happens in the historical sequential order, so the
     /// result is bitwise identical at every thread count and to the
-    /// pre-layout-refactor kernel (see [`crate::reference`]).
+    /// pre-layout-refactor kernel (the oracle in `tests/reference/`).
     ///
     /// An object whose kernel support lies fully outside the grid
     /// contributes nothing (it is the fence pull-in force's job to bring

@@ -429,7 +429,7 @@ mod tests {
         let (model, regions) = toy_model(600);
         let n = model.len();
         let gamma = 4.0;
-        for threads in [1, 2, 8] {
+        for threads in [1, 2, 4, 8] {
             let par = Parallelism::new(threads);
             // Reference: standalone kernels in sequence.
             let mut ref_fields = build_fields(&model, &regions, &[], 16, 0.6);
@@ -485,7 +485,7 @@ mod tests {
         let (model, regions) = toy_model(600);
         let n = model.len();
         let gamma = 4.0;
-        for threads in [1, 2, 8] {
+        for threads in [1, 2, 4, 8] {
             let par = Parallelism::new(threads);
             let mut ref_fields = build_electro_fields(&model, &regions, &[], 16, 0.6);
             let mut ref_scratch = WlScratch::new();

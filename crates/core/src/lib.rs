@@ -49,7 +49,6 @@ pub mod net_weighting;
 pub mod optimizer;
 mod placer;
 pub mod recovery;
-pub mod reference;
 pub mod rotation;
 pub mod trace;
 pub mod wirelength;

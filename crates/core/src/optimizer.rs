@@ -13,7 +13,7 @@
 //!   optimized with Nesterov accelerated gradient under a per-cell
 //!   Lipschitz preconditioner (pin count + λ-scaled cell area). The
 //!   long-range field plus momentum converges in fewer gradient
-//!   evaluations; `bench_scale` A/Bs the two.
+//!   evaluations.
 //!
 //! Solver and density model compose freely (CG + electrostatic, Nesterov +
 //! bell are valid). All optimizer state lives in structure-of-arrays `f64`

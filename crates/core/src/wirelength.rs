@@ -37,8 +37,8 @@
 //!    the model's object→pin transpose in ascending pin order, which is
 //!    exactly the order the historical scatter added the same terms in, so
 //!    the result is bitwise identical to the pre-layout-refactor kernel
-//!    (the `reference` module holds that kernel; the layout-equivalence
-//!    property tests enforce the identity).
+//!    (the test oracle in `tests/reference/` holds that kernel; the
+//!    layout-equivalence tests enforce the identity).
 //!
 //! Sums whose order is observable stay strictly sequential; only the
 //! order-free max/min folds use explicit 4-lane chunking (see
@@ -372,8 +372,8 @@ pub(crate) fn wl_ordered_total(model: &Model, net_total: &[f64]) -> f64 {
 /// totals into disjoint slices of `scratch`, the total is folded
 /// sequentially in net order, and the per-object gather walks the
 /// ascending-pin transpose — so the result is bitwise identical at every
-/// thread count (and to the historical implementation, see
-/// [`crate::reference`]).
+/// thread count (and to the historical implementation, the test oracle in
+/// `tests/reference/`).
 ///
 /// Returns the total smooth wirelength (net-weight scaled).
 ///

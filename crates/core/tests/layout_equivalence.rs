@@ -1,18 +1,20 @@
 //! Layout-equivalence oracle: the CSR/SoA model and its flat-array kernels
 //! must be observationally identical — **bitwise**, not approximately — to
-//! the pre-refactor AoS representation preserved in `rdp_core::reference`.
+//! the pre-refactor AoS representation preserved in the `reference` oracle.
 //!
 //! Every case converts a generated design to both layouts, evaluates HPWL,
 //! both smooth-wirelength models and the density penalty at 1/2/8 threads,
 //! and compares totals and every gradient component by bit pattern.
 
+mod reference;
+
 use rdp_core::density::build_fields;
 use rdp_core::model::Model;
-use rdp_core::reference::{ref_smooth_wl_grad_par, RefDensityField, RefModel};
 use rdp_core::wirelength::{smooth_wl_grad_par, WirelengthModel, WlScratch};
 use rdp_gen::{generate, GeneratorConfig};
 use rdp_geom::parallel::Parallelism;
 use rdp_geom::Point;
+use reference::{ref_smooth_wl_grad_par, RefDensityField, RefModel};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 

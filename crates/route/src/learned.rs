@@ -56,8 +56,8 @@ pub struct EstimatorWeights {
     /// Ridge regularization the weights were trained with.
     pub lambda: f64,
     /// Held-out Spearman rank correlation (predicted vs. routed usage)
-    /// the weights passed, with margin — the floor `bench_estimator`
-    /// re-asserts on a fresh design.
+    /// the weights passed, with margin — the floor the route crate's
+    /// `learned` tests re-assert on a fresh design.
     pub gate_usage: f64,
     /// Held-out rank correlation of predicted vs. true router overflow,
     /// with margin.

@@ -1,14 +1,16 @@
 //! Learned-estimator contract tests: bitwise thread-invariance of the
-//! prediction, byte-identical trainer reproducibility on real routed
+//! prediction, the shipped weights' accuracy gate on a design the trainer
+//! never saw, byte-identical trainer reproducibility on real routed
 //! designs, and degenerate-input safety of the feature extractor.
 
 use rdp_db::{DesignBuilder, NodeKind, Placement};
 use rdp_gen::{generate, GeneratorConfig};
 use rdp_geom::parallel::Parallelism;
+use rdp_geom::rng::Rng;
 use rdp_geom::{Point, Rect};
 use rdp_route::learned::{
-    collect_samples, extract_features, predict_congestion_par, train_estimator, EstimatorWeights,
-    TrainConfig,
+    collect_samples, extract_features, predict_congestion_par, rank_correlation, train_estimator,
+    EstimatorWeights, TrainConfig, NUM_FEATURES,
 };
 use rdp_route::{GlobalRouter, RouteGrid, RouterConfig};
 
@@ -52,6 +54,55 @@ fn prediction_deposits_nonnegative_planar_usage() {
         total += u;
     }
     assert!(total > 0.0, "a placed design must predict some demand");
+}
+
+/// The shipped weights' rank correlations against the routed truth (usage
+/// and overflow per edge) must clear the gates stamped into the weight
+/// file, on a design the trainer never saw, in the two placement states
+/// the trainer labels: the clustered seed and a uniform scatter.
+#[test]
+fn shipped_weights_clear_their_accuracy_gates_on_a_fresh_design() {
+    let weights = EstimatorWeights::builtin();
+    let bench = generate(&GeneratorConfig::small("estfresh", 91)).unwrap();
+    let par = Parallelism::single();
+    let router = GlobalRouter::new(RouterConfig::default());
+    let die = bench.design.die();
+    let mut scattered = bench.placement.clone();
+    let mut rng = Rng::seed_from_u64(0x5CA7_7E12 ^ 91);
+    for id in bench.design.movable_ids() {
+        scattered.set_center(
+            id,
+            Point::new(rng.gen_range(die.xl..die.xh), rng.gen_range(die.yl..die.yh)),
+        );
+    }
+
+    let (mut pred, mut truth, mut pred_over, mut truth_over) = (vec![], vec![], vec![], vec![]);
+    for placement in [&bench.placement, &scattered] {
+        let routed = router.route(&bench.design, placement);
+        let samples = collect_samples(&routed.grid, &bench.design, placement, &par);
+        for (dir_samples, w) in [(&samples.h, &weights.h), (&samples.v, &weights.v)] {
+            for (x, y) in dir_samples {
+                let p = (0..NUM_FEATURES).map(|k| w[k] * x[k]).sum::<f64>().max(0.0);
+                let cap = x[NUM_FEATURES - 1];
+                pred.push(p);
+                truth.push(*y);
+                pred_over.push((p - cap).max(0.0));
+                truth_over.push((*y - cap).max(0.0));
+            }
+        }
+    }
+    let usage_corr = rank_correlation(&pred, &truth);
+    let overflow_corr = rank_correlation(&pred_over, &truth_over);
+    assert!(
+        usage_corr >= weights.gate_usage,
+        "usage rank correlation {usage_corr:.4} below the shipped gate {:.4}",
+        weights.gate_usage
+    );
+    assert!(
+        overflow_corr >= weights.gate_overflow,
+        "overflow rank correlation {overflow_corr:.4} below the shipped gate {:.4}",
+        weights.gate_overflow
+    );
 }
 
 #[test]

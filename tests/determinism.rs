@@ -1,8 +1,8 @@
 //! Determinism regression tests for the parallel execution layer: the
 //! placer and the router must produce **bitwise identical** results at
-//! every thread count (1, 2, 8). The chunked kernels merge their partial
-//! results in a canonical order precisely so this holds — these tests are
-//! the contract.
+//! every thread count (1, 2, 8; the kernel-level cases also 4). The
+//! chunked kernels merge their partial results in a canonical order
+//! precisely so this holds — these tests are the contract.
 
 use rdp::gen::{generate, GeneratorConfig};
 use rdp::geom::parallel::Parallelism;
@@ -137,15 +137,18 @@ fn router_is_bitwise_identical_across_thread_counts() {
     }
 }
 
-/// Kernel-level invariance at production scale: the wirelength and density
-/// gradient kernels on a 100k-cell design must be bitwise identical at
-/// 1, 2 and 8 threads. Too slow for the debug-build default gate — run in
-/// release via `ci.sh --full` (`cargo test --release -- --ignored`).
+/// Kernel-level invariance at production scale: the wirelength, bell and
+/// electrostatic density gradient kernels on a 100k-cell design must be
+/// bitwise identical at 1, 2, 4 and 8 threads, and the fused wirelength +
+/// bell pass must equal the separate kernels bit for bit. Too slow for the
+/// debug-build default gate — run in release via `ci.sh --full`
+/// (`cargo test --release -- --ignored`).
 #[test]
 #[ignore = "100k-cell release-build case; run via ci.sh --full"]
 fn kernels_are_bitwise_identical_across_thread_counts_at_100k_cells() {
     use rdp::place::density::build_fields;
     use rdp::place::electrostatics::build_electro_fields;
+    use rdp::place::fused::fused_wl_den_grad;
     use rdp::place::model::Model;
     use rdp::place::wirelength::{smooth_wl_grad_par, WirelengthModel, WlScratch};
 
@@ -157,11 +160,12 @@ fn kernels_are_bitwise_identical_across_thread_counts_at_100k_cells() {
     let mut fields = build_fields(&model, &[], &[], bins, 0.9);
     let mut electro = build_electro_fields(&model, &[], &[], bins, 0.9);
     let mut scratch = WlScratch::new();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
 
     let mut run = |threads: usize| {
         let par = Parallelism::new(threads);
-        let mut gx = vec![0.0; model.len()];
-        let mut gy = vec![0.0; model.len()];
+        let zeros = || vec![0.0; model.len()];
+        let (mut gx, mut gy, mut dx, mut dy) = (zeros(), zeros(), zeros(), zeros());
         let wl = smooth_wl_grad_par(
             &model,
             WirelengthModel::Wa,
@@ -171,15 +175,40 @@ fn kernels_are_bitwise_identical_across_thread_counts_at_100k_cells() {
             &mut scratch,
             &par,
         );
-        let stats = fields[0].penalty_grad_par(&model, &mut gx, &mut gy, &par);
-        let estats = electro[0].penalty_grad_par(&model, &mut gx, &mut gy, &par);
-        let bits: Vec<(u64, u64)> =
-            gx.iter().zip(&gy).map(|(x, y)| (x.to_bits(), y.to_bits())).collect();
-        (wl.to_bits(), stats.penalty.to_bits(), estats.penalty.to_bits(), bits)
+        let stats = fields[0].penalty_grad_par(&model, &mut dx, &mut dy, &par);
+
+        let (mut fgx, mut fgy, mut fdx, mut fdy) = (zeros(), zeros(), zeros(), zeros());
+        let (fused_wl, fused_stats) = fused_wl_den_grad(
+            &model,
+            WirelengthModel::Wa,
+            20.0,
+            &mut fields,
+            &mut scratch,
+            &mut fgx,
+            &mut fgy,
+            &mut fdx,
+            &mut fdy,
+            &par,
+        );
+        assert_eq!(
+            (fused_wl.to_bits(), fused_stats.penalty.to_bits()),
+            (wl.to_bits(), stats.penalty.to_bits()),
+            "fused totals differ from the separate kernels at {threads} threads"
+        );
+        assert!(
+            [(&fgx, &gx), (&fgy, &gy), (&fdx, &dx), (&fdy, &dy)]
+                .iter()
+                .all(|(f, r)| bits(f) == bits(r)),
+            "fused gradient differs from the separate kernels at {threads} threads"
+        );
+
+        let estats = electro[0].penalty_grad_par(&model, &mut dx, &mut dy, &par);
+        let grads = [&gx, &gy, &dx, &dy].map(|g| bits(g));
+        (wl.to_bits(), stats.penalty.to_bits(), estats.penalty.to_bits(), grads)
     };
 
     let base = run(1);
-    for threads in [2, 8] {
+    for threads in [2, 4, 8] {
         let r = run(threads);
         assert_eq!(base.0, r.0, "wirelength total differs at {threads} threads");
         assert_eq!(base.1, r.1, "density penalty differs at {threads} threads");
@@ -196,7 +225,7 @@ fn congestion_estimator_is_bitwise_identical_across_thread_counts() {
         &bench.placement,
         &Parallelism::single(),
     );
-    for threads in [2, 8] {
+    for threads in [2, 4, 8] {
         let g = rdp::route::pattern::estimate_congestion_par(
             &bench.design,
             &bench.placement,
@@ -251,7 +280,7 @@ fn reused_pool_matches_fresh_pool_bitwise() {
     };
 
     let single = sequence(&Parallelism::single());
-    for threads in [1usize, 2, 8] {
+    for threads in [1usize, 2, 4, 8] {
         // Fresh pool: spawned by the sequence's first dispatch.
         let fresh = sequence(&Parallelism::new(threads));
         assert_eq!(fresh, single, "fresh pool differs from inline at {threads} threads");
