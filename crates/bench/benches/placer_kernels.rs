@@ -5,10 +5,11 @@
 
 use rdp_bench::timing::bench;
 use rdp_core::cluster::build_levels;
-use rdp_core::legalize::legalize;
+use rdp_core::legalize::legalize_with_displacement_par;
 use rdp_core::model::Model;
 use rdp_core::{PlaceOptions, Placer};
 use rdp_gen::{generate, GeneratorConfig};
+use rdp_geom::parallel::Parallelism;
 
 fn main() {
     let gen = generate(&GeneratorConfig::tiny("plbench", 17)).expect("valid config");
@@ -18,7 +19,7 @@ fn main() {
 
     bench("legalize_tiny", || {
         let mut pl = gen.placement.clone();
-        legalize(&gen.design, &mut pl);
+        legalize_with_displacement_par(&gen.design, &mut pl, &Parallelism::single());
         pl
     });
 

@@ -6,13 +6,16 @@
 
 use rdp_bench::timing::bench;
 use rdp_gen::{generate, GeneratorConfig};
-use rdp_route::{pattern, GlobalRouter, RouterConfig};
+use rdp_geom::parallel::Parallelism;
+use rdp_route::{pattern, GlobalRouter, RouteGrid, RouterConfig};
 
 fn main() {
     let gen = generate(&GeneratorConfig::tiny("rtbench", 13)).expect("valid config");
 
+    let mut grid = RouteGrid::from_design(&gen.design, &gen.placement);
     bench("pattern_estimate_tiny", || {
-        pattern::estimate_congestion(&gen.design, &gen.placement)
+        let par = Parallelism::single();
+        pattern::estimate_congestion_into(&mut grid, &gen.design, &gen.placement, &par)
     });
 
     bench("full_route/negotiated_tiny", || {

@@ -7,7 +7,7 @@
 
 use rdp_bench::{parse_args, standard_suite};
 use rdp_core::PlaceOptions;
-use rdp_eval::run_flow;
+use rdp_eval::EvalSession;
 use rdp_route::{heatmap, GlobalRouter, RouterConfig};
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
         ("b1", PlaceOptions::default().wirelength_driven()),
         ("ours", PlaceOptions::default()),
     ] {
-        let out = run_flow(&bench, options).expect("placeable");
+        let out = EvalSession::new(&bench.design).run_flow_on(&bench, options).expect("placeable");
         let routed = GlobalRouter::new(RouterConfig::default())
             .route(&bench.design, &out.place.placement);
         let csv = heatmap::to_csv(&routed.grid);

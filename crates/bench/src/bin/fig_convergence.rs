@@ -5,7 +5,7 @@
 
 use rdp_bench::{parse_args, standard_suite};
 use rdp_core::PlaceOptions;
-use rdp_eval::run_flow;
+use rdp_eval::EvalSession;
 
 fn main() {
     let args = parse_args();
@@ -14,7 +14,9 @@ fn main() {
         .nth(if args.smoke { 1 } else { 3 })
         .expect("suite has enough entries");
     let bench = rdp_gen::generate(&cfg).expect("valid config");
-    let out = run_flow(&bench, PlaceOptions::default()).expect("placeable");
+    let out = EvalSession::new(&bench.design)
+        .run_flow_on(&bench, PlaceOptions::default())
+        .expect("placeable");
 
     let csv = out.place.trace.to_csv();
     let _ = rdp_eval::report::save("fig_convergence.csv", &csv);

@@ -10,7 +10,7 @@
 use rdp_bench::{emit, parse_args, standard_suite};
 use rdp_core::PlaceOptions;
 use rdp_eval::report::{fmt_f, Table};
-use rdp_eval::run_flow;
+use rdp_eval::EvalSession;
 
 fn main() {
     let args = parse_args();
@@ -24,7 +24,7 @@ fn main() {
     for target in [0.7, 0.8, 0.9, 0.95, 1.0] {
         let mut options = PlaceOptions::default();
         options.gp.target_density = target;
-        let out = run_flow(&bench, options).expect("placeable");
+        let out = EvalSession::new(&bench.design).run_flow_on(&bench, options).expect("placeable");
         table.row_owned(vec![
             fmt_f(target, 2),
             fmt_f(out.score.hpwl, 0),

@@ -10,7 +10,7 @@
 use rdp_bench::{emit, parse_args, standard_suite};
 use rdp_core::PlaceOptions;
 use rdp_eval::report::{fmt_f, Table};
-use rdp_eval::run_flow;
+use rdp_eval::EvalSession;
 
 fn main() {
     let args = parse_args();
@@ -28,7 +28,7 @@ fn main() {
             inflation_rounds: rounds,
             ..PlaceOptions::default()
         };
-        let out = run_flow(&bench, options).expect("placeable");
+        let out = EvalSession::new(&bench.design).run_flow_on(&bench, options).expect("placeable");
         let inflated: usize = out.place.inflation.iter().map(|s| s.inflated).sum();
         table.row_owned(vec![
             rounds.to_string(),

@@ -7,7 +7,7 @@
 use rdp_bench::{emit, parse_args, standard_suite};
 use rdp_core::PlaceOptions;
 use rdp_eval::report::{fmt_f, fmt_pct, Table};
-use rdp_eval::run_flow;
+use rdp_eval::EvalSession;
 
 fn main() {
     let args = parse_args();
@@ -16,7 +16,9 @@ fn main() {
         .nth(if args.smoke { 2 } else { 5 })
         .expect("suite has enough entries");
     let bench = rdp_gen::generate(&cfg).expect("valid config");
-    let out = run_flow(&bench, PlaceOptions::default()).expect("placeable");
+    let out = EvalSession::new(&bench.design)
+        .run_flow_on(&bench, PlaceOptions::default())
+        .expect("placeable");
 
     let total: f64 = out.place.trace.stages.iter().map(|s| s.elapsed.as_secs_f64()).sum();
     let mut table = Table::new(&["stage", "seconds", "share"]);

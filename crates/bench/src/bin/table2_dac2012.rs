@@ -11,7 +11,7 @@
 use rdp_bench::{emit, geomean, parse_args, standard_suite};
 use rdp_core::PlaceOptions;
 use rdp_eval::report::{fmt_f, Table};
-use rdp_eval::run_flow;
+use rdp_eval::EvalSession;
 
 fn main() {
     let args = parse_args();
@@ -25,8 +25,10 @@ fn main() {
 
     for cfg in standard_suite(args) {
         let bench = rdp_gen::generate(&cfg).expect("valid suite config");
-        let full = run_flow(&bench, PlaceOptions::default()).expect("placeable");
-        let base = run_flow(&bench, PlaceOptions::default().wirelength_driven()).expect("placeable");
+        let session = EvalSession::new(&bench.design);
+        let full = session.run_flow_on(&bench, PlaceOptions::default()).expect("placeable");
+        let base = session.run_flow_on(&bench, PlaceOptions::default().wirelength_driven())
+            .expect("placeable");
         for (label, out) in [("ours", &full), ("B1-wl", &base)] {
             table.row_owned(vec![
                 cfg.name.clone(),

@@ -13,7 +13,7 @@
 use rdp_bench::{emit, fence_suite, geomean, parse_args};
 use rdp_core::PlaceOptions;
 use rdp_eval::report::{fmt_f, Table};
-use rdp_eval::run_flow;
+use rdp_eval::EvalSession;
 
 fn main() {
     let args = parse_args();
@@ -27,8 +27,10 @@ fn main() {
     for cfg in fence_suite(args) {
         let bench = rdp_gen::generate(&cfg).expect("valid fence config");
         let movers = bench.design.movable_ids().count().max(1) as f64;
-        let aware = run_flow(&bench, PlaceOptions::default()).expect("placeable");
-        let blind = run_flow(&bench, PlaceOptions::default().fence_blind()).expect("placeable");
+        let session = EvalSession::new(&bench.design);
+        let aware = session.run_flow_on(&bench, PlaceOptions::default()).expect("placeable");
+        let blind = session.run_flow_on(&bench, PlaceOptions::default().fence_blind())
+            .expect("placeable");
         for (label, out) in [("ours", &aware), ("B2-blind", &blind)] {
             let lg = &out.place.legalize;
             table.row_owned(vec![

@@ -8,7 +8,7 @@
 use rdp_bench::{emit, geomean, parse_args, standard_suite};
 use rdp_core::{PlaceOptions, WirelengthModel};
 use rdp_eval::report::{fmt_f, Table};
-use rdp_eval::run_flow;
+use rdp_eval::EvalSession;
 
 fn main() {
     let args = parse_args();
@@ -24,9 +24,12 @@ fn main() {
     let mut ratios = Vec::new();
     for cfg in suite {
         let bench = rdp_gen::generate(&cfg).expect("valid config");
-        let wa = run_flow(&bench, PlaceOptions::default().with_wirelength(WirelengthModel::Wa))
+        let session = EvalSession::new(&bench.design);
+        let wa = session
+            .run_flow_on(&bench, PlaceOptions::default().with_wirelength(WirelengthModel::Wa))
             .expect("placeable");
-        let lse = run_flow(&bench, PlaceOptions::default().with_wirelength(WirelengthModel::Lse))
+        let lse = session
+            .run_flow_on(&bench, PlaceOptions::default().with_wirelength(WirelengthModel::Lse))
             .expect("placeable");
         for (label, out) in [("WA", &wa), ("LSE", &lse)] {
             table.row_owned(vec![

@@ -7,7 +7,7 @@
 use rdp_bench::{emit, parse_args, standard_suite};
 use rdp_core::PlaceOptions;
 use rdp_eval::report::{fmt_f, Table};
-use rdp_eval::run_flow;
+use rdp_eval::EvalSession;
 
 fn main() {
     let args = parse_args();
@@ -27,7 +27,9 @@ fn main() {
     for cfg in suite {
         let bench = rdp_gen::generate(&cfg).expect("valid config");
         for (label, make) in variants {
-            let out = run_flow(&bench, make()).expect("placeable");
+            let out = EvalSession::new(&bench.design)
+                .run_flow_on(&bench, make())
+                .expect("placeable");
             table.row_owned(vec![
                 cfg.name.clone(),
                 label.to_string(),

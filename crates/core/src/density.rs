@@ -34,9 +34,7 @@
 //! tests pin bitwise equality.
 
 use crate::model::Model;
-use rdp_geom::parallel::{
-    chunk_spans, chunked_map_parts, chunked_map_parts_with, split_at_spans, Parallelism,
-};
+use rdp_geom::parallel::{chunk_spans, split_at_spans};
 use rdp_geom::{Point, Rect};
 
 /// Member objects per parallel work chunk. Fixed (never derived from the
@@ -406,17 +404,26 @@ impl DensityScratch {
         (&self.member_gx, &self.member_gy)
     }
 
-    /// Sequential penalty/residual reduction over the filled density slab
-    /// (see [`reduce_penalty`]); exposed as a method so the fused pass can
-    /// reach the private residual buffer.
+    /// The sequential penalty/residual reduction between passes 3 and 4
+    /// over the filled density slab (canonical bin-order rounding).
     pub(crate) fn reduce(&mut self, grid: &BinGrid) -> DensityStats {
-        reduce_penalty(grid, &mut self.residual)
+        let mut stats = DensityStats::default();
+        self.residual.resize(grid.density.len(), 0.0);
+        for (i, r) in self.residual.iter_mut().enumerate() {
+            let over = (grid.density[i] - grid.target[i]).max(0.0);
+            stats.penalty += over * over;
+            *r = 2.0 * over;
+            stats.overflow_area += (grid.density[i] - grid.capacity[i]).max(0.0);
+            if grid.capacity[i] > 1e-12 {
+                stats.max_ratio = stats.max_ratio.max(grid.density[i] / grid.capacity[i]);
+            }
+        }
+        stats
     }
 }
 
 /// Pass-1 body: each member's touched bin window (bell support inflated by
-/// two bins per side). Shared verbatim by [`DensityField::penalty_grad_par`]
-/// and the fused gradient pass ([`crate::fused`]).
+/// two bins per side).
 pub(crate) fn den_window_body(
     model: &Model,
     members: &[u32],
@@ -512,23 +519,6 @@ pub(crate) fn den_deposit_body(ctx: &DepositCtx<'_>, band: usize, density: &mut 
     }
 }
 
-/// The sequential penalty/residual reduction between passes 3 and 4
-/// (canonical bin-order rounding).
-pub(crate) fn reduce_penalty(grid: &BinGrid, residual: &mut Vec<f64>) -> DensityStats {
-    let mut stats = DensityStats::default();
-    residual.resize(grid.density.len(), 0.0);
-    for (i, r) in residual.iter_mut().enumerate() {
-        let over = (grid.density[i] - grid.target[i]).max(0.0);
-        stats.penalty += over * over;
-        *r = 2.0 * over;
-        stats.overflow_area += (grid.density[i] - grid.capacity[i]).max(0.0);
-        if grid.capacity[i] > 1e-12 {
-            stats.max_ratio = stats.max_ratio.max(grid.density[i] / grid.capacity[i]);
-        }
-    }
-    stats
-}
-
 /// Pass-4 body: chain-rule read-back of one member chunk into its disjoint
 /// per-member gradient slices. `dpx_row` is per-worker scratch.
 #[allow(clippy::too_many_arguments)]
@@ -611,6 +601,10 @@ pub(crate) fn scatter_grads(
 }
 
 /// One density domain: a bin grid plus the objects it constrains.
+/// [`crate::fused::fused_wl_den_grad`] evaluates its penalty and gradient.
+///
+/// An object whose kernel support lies fully outside the grid contributes
+/// nothing (it is the fence pull-in force's job to bring it back).
 #[derive(Debug, Clone)]
 pub struct DensityField {
     /// The bins.
@@ -625,114 +619,6 @@ impl DensityField {
     /// A field over `grid` constraining `members`.
     pub fn new(grid: BinGrid, members: Vec<u32>) -> Self {
         DensityField { grid, members, scratch: DensityScratch::default() }
-    }
-
-    /// Spreads the members' areas, computes the penalty and **adds** the
-    /// *unscaled* penalty gradient (`∂penalty/∂pos`) into
-    /// `grad_x`/`grad_y`, using up to `par` worker threads.
-    ///
-    /// Members are partitioned into fixed-size chunks and the grid into
-    /// fixed row bands; every floating-point accumulation (bin deposits in
-    /// member order, penalty reduction in bin order, gradient scatter in
-    /// member order) happens in the historical sequential order, so the
-    /// result is bitwise identical at every thread count and to the
-    /// pre-layout-refactor kernel (the oracle in `tests/reference/`).
-    ///
-    /// An object whose kernel support lies fully outside the grid
-    /// contributes nothing (it is the fence pull-in force's job to bring
-    /// it back).
-    pub fn penalty_grad_par(
-        &mut self,
-        model: &Model,
-        grad_x: &mut [f64],
-        grad_y: &mut [f64],
-        par: &Parallelism,
-    ) -> DensityStats {
-        let DensityField { grid, members, scratch } = self;
-        let (nx, ny) = (grid.nx, grid.ny);
-
-        grid.density.iter_mut().for_each(|d| *d = 0.0);
-        scratch.prepare(members.len());
-
-        // Pass 1: bin windows, parallel over member chunks.
-        {
-            let parts = scratch.window_parts();
-            let members: &[u32] = members;
-            let grid_ro: &BinGrid = grid;
-            chunked_map_parts(par, parts, |_ci, part| {
-                den_window_body(model, members, grid_ro, part)
-            });
-        }
-
-        // CSR starts for the bell caches + band buckets (sequential:
-        // prefix sums and ordered pushes).
-        scratch.bucket_and_csr(ny);
-
-        // Pass 2: bell factor caches + normalization scales, parallel over
-        // member chunks (each chunk owns contiguous cache and scale
-        // slices). The deposit sum runs in the historical row-major order
-        // over the cached factors — identical values, identical order.
-        {
-            let BellStage { parts, ranges } = scratch.bell_stage();
-            let members: &[u32] = members;
-            let grid_ro: &BinGrid = grid;
-            chunked_map_parts(par, parts, |_ci, part| {
-                den_bell_body(model, members, ranges, grid_ro, part)
-            });
-        }
-
-        // Pass 3: deposits, parallel over disjoint row bands. Within a
-        // band, members run in ascending order, so every bin accumulates
-        // its contributions in the historical member-major order.
-        {
-            let spans = band_spans(nx, ny);
-            let parts: Vec<_> = split_at_spans(&mut grid.density, &spans)
-                .into_iter()
-                .enumerate()
-                .collect();
-            let ctx = scratch.deposit_ctx(nx, ny);
-            chunked_map_parts(par, parts, |_ci, (band, density)| {
-                den_deposit_body(&ctx, *band, density)
-            });
-        }
-
-        // Penalty and per-bin residuals (O(bins): cheap, kept sequential so
-        // the reduction order is trivially canonical).
-        let stats = reduce_penalty(grid, &mut scratch.residual);
-
-        // Pass 4: chain rule into per-member gradients, parallel over
-        // member chunks.
-        {
-            let stage = scratch.chain_stage();
-            let ChainStage { parts, .. } = stage;
-            let ctx = ChainStage { parts: Vec::new(), ..stage };
-            let members: &[u32] = members;
-            let grid_ro: &BinGrid = grid;
-            chunked_map_parts_with(
-                par,
-                parts,
-                Vec::new,
-                |dpx_row: &mut Vec<f64>, _ci, (span, gx_out, gy_out)| {
-                    den_chain_body(model, members, grid_ro, &ctx, dpx_row, span.clone(), gx_out, gy_out)
-                },
-            );
-        }
-
-        // Ordered scatter into the object gradient.
-        let (mgx, mgy) = scratch.member_grads();
-        scatter_grads(members, mgx, mgy, grad_x, grad_y);
-        stats
-    }
-
-    /// Single-threaded [`DensityField::penalty_grad_par`] (the historical
-    /// entry point).
-    pub fn penalty_grad(
-        &mut self,
-        model: &Model,
-        grad_x: &mut [f64],
-        grad_y: &mut [f64],
-    ) -> DensityStats {
-        self.penalty_grad_par(model, grad_x, grad_y, &Parallelism::single())
     }
 }
 
@@ -800,7 +686,10 @@ pub fn build_fields(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::fused_wl_den_grad;
     use crate::model::{ModelNet, ModelPin};
+    use crate::wirelength::{WirelengthModel, WlScratch};
+    use rdp_geom::parallel::Parallelism;
 
     fn toy_model(positions: &[(f64, f64)], size: (f64, f64)) -> Model {
         let n = positions.len();
@@ -826,11 +715,32 @@ mod tests {
         )
     }
 
-    fn eval(f: &mut DensityField, model: &Model) -> (DensityStats, Vec<f64>, Vec<f64>) {
-        let mut gx = vec![0.0; model.len()];
-        let mut gy = vec![0.0; model.len()];
-        let stats = f.penalty_grad(model, &mut gx, &mut gy);
+    /// The field's penalty and gradient through the fused pass.
+    fn eval_par(
+        f: &mut DensityField,
+        model: &Model,
+        par: &Parallelism,
+    ) -> (DensityStats, Vec<f64>, Vec<f64>) {
+        let n = model.len();
+        let (mut wx, mut wy) = (vec![0.0; n], vec![0.0; n]);
+        let (mut gx, mut gy) = (vec![0.0; n], vec![0.0; n]);
+        let (_, stats) = fused_wl_den_grad(
+            model,
+            WirelengthModel::Wa,
+            1.0,
+            std::slice::from_mut(f),
+            &mut WlScratch::new(),
+            &mut wx,
+            &mut wy,
+            &mut gx,
+            &mut gy,
+            par,
+        );
         (stats, gx, gy)
+    }
+
+    fn eval(f: &mut DensityField, model: &Model) -> (DensityStats, Vec<f64>, Vec<f64>) {
+        eval_par(f, model, &Parallelism::single())
     }
 
     #[test]
@@ -953,14 +863,10 @@ mod tests {
             .collect();
         let model = toy_model(&positions, (5.0, 7.0));
         let mut base_f = field_for(&model, 24, 0.4);
-        let mut bgx = vec![0.0; model.len()];
-        let mut bgy = vec![0.0; model.len()];
-        let base = base_f.penalty_grad_par(&model, &mut bgx, &mut bgy, &Parallelism::single());
+        let (base, bgx, bgy) = eval_par(&mut base_f, &model, &Parallelism::single());
         for threads in [2, 8] {
             let mut f = field_for(&model, 24, 0.4);
-            let mut gx = vec![0.0; model.len()];
-            let mut gy = vec![0.0; model.len()];
-            let stats = f.penalty_grad_par(&model, &mut gx, &mut gy, &Parallelism::new(threads));
+            let (stats, gx, gy) = eval_par(&mut f, &model, &Parallelism::new(threads));
             assert_eq!(stats.penalty.to_bits(), base.penalty.to_bits(), "threads={threads}");
             assert_eq!(
                 stats.overflow_area.to_bits(),

@@ -566,9 +566,10 @@ pub fn detailed_place(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::legalize::legalize;
+    use crate::legalize::legalize_with_displacement_par;
     use rdp_db::validate::check_legal;
     use rdp_gen::{generate, GeneratorConfig};
+    use rdp_geom::parallel::Parallelism;
 
     fn legal_bench(seed: u64) -> (rdp_db::Design, Placement) {
         let bench = generate(&GeneratorConfig::tiny("dp", seed)).unwrap();
@@ -585,7 +586,7 @@ mod tests {
                 ),
             );
         }
-        legalize(&bench.design, &mut pl);
+        legalize_with_displacement_par(&bench.design, &mut pl, &Parallelism::single());
         (bench.design, pl)
     }
 
@@ -635,7 +636,7 @@ mod tests {
         use rdp_gen::GeneratorConfig;
         let bench = generate(&GeneratorConfig::hierarchical("dpr", 38, 2)).unwrap();
         let mut pl = bench.placement.clone();
-        crate::legalize::legalize(&bench.design, &mut pl);
+        legalize_with_displacement_par(&bench.design, &mut pl, &Parallelism::single());
         relocate_pass(&bench.design, &mut pl, None, 0.0);
         let report = check_legal(&bench.design, &pl, 30);
         assert_eq!(
@@ -663,7 +664,7 @@ mod tests {
         use rdp_gen::GeneratorConfig;
         let bench = generate(&GeneratorConfig::hierarchical("dpi", 35, 2)).unwrap();
         let mut pl = bench.placement.clone();
-        crate::legalize::legalize(&bench.design, &mut pl);
+        legalize_with_displacement_par(&bench.design, &mut pl, &Parallelism::single());
         ism_pass(&bench.design, &mut pl, None, 0.0, 4);
         let report = check_legal(&bench.design, &pl, 30);
         assert_eq!(

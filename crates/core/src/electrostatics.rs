@@ -37,11 +37,11 @@
 //! The grid must be power-of-two in both axes (the fixed-radix FFT
 //! constraint); [`build_electro_fields`] rounds bin counts up.
 
-use crate::density::{scatter_grads, BinGrid, DensityStats, WindowPart};
+use crate::density::{BinGrid, DensityStats, WindowPart};
 use crate::model::Model;
 use rdp_db::Region;
 use rdp_geom::fft::Fft2;
-use rdp_geom::parallel::{chunk_spans, chunked_map_parts, split_at_spans, Parallelism};
+use rdp_geom::parallel::{chunk_spans, split_at_spans, Parallelism};
 use rdp_geom::{Point, Rect};
 use std::f64::consts::PI;
 use std::ops::Range;
@@ -178,7 +178,20 @@ impl ElectroScratch {
     /// The sequential middle of the evaluation: overflow diagnostics,
     /// charge assembly with the zero-total background, the spectral
     /// Poisson solve and the field extraction. Reads the binned density
-    /// from `grid`; the FFT parallelizes internally over `par`.
+    /// from `grid`; the FFT parallelizes internally over `par`. Returns the
+    /// same overflow diagnostics as the bell model, computed on the binned
+    /// density, so A/B comparisons read the same stats.
+    ///
+    /// The charge is the *overflow* — area above the bin target — not the
+    /// raw density: a zero-total raw charge would put negative charge on
+    /// every underfull bin and drive the system toward full uniformity,
+    /// over-spreading cells (and stretching nets) long after every bin
+    /// meets its target. ePlace counters that with filler cells; clipping
+    /// the charge to the overflow reaches the same equilibrium — no bin
+    /// above target — without them. The balancing negative background
+    /// sits on bins with slack (below-target capacity), proportional to
+    /// that slack so blocked area attracts nothing, scaled so the total
+    /// charge is exactly zero.
     pub(crate) fn solve_field(&mut self, grid: &BinGrid, par: &Parallelism) -> DensityStats {
         let (nx, ny) = (grid.nx, grid.ny);
         let mut stats = DensityStats::default();
@@ -404,7 +417,8 @@ pub(crate) fn el_force_body(
 /// One electrostatic density domain: a power-of-two bin grid plus the
 /// objects whose charge lives in it. The drop-in counterpart of
 /// [`crate::density::DensityField`] for
-/// [`GpDensityModel::Electrostatic`](crate::optimizer::GpDensityModel).
+/// [`GpDensityModel::Electrostatic`](crate::optimizer::GpDensityModel);
+/// [`crate::fused::fused_wl_electro_grad`] evaluates it.
 #[derive(Debug, Clone)]
 pub struct ElectroField {
     /// The bins (capacities/targets shared with the bell model).
@@ -428,101 +442,6 @@ impl ElectroField {
             "electrostatic grid must be power-of-two, got {nx}x{ny}"
         );
         ElectroField { grid, members, scratch: ElectroScratch::default() }
-    }
-
-    /// Bins the members' areas, solves Poisson's equation for the field and
-    /// **adds** the electrostatic gradient (`−q·E` per member) into
-    /// `grad_x`/`grad_y`, using up to `par` worker threads. Returns the
-    /// same overflow diagnostics as the bell model, computed on the binned
-    /// density, so A/B comparisons read the same stats.
-    ///
-    /// Deposits (band-parallel, member order), the spectral solve
-    /// (row-parallel independent transforms, sequential scaling) and the
-    /// gather/scatter (chunk-parallel, ordered merge) are all bitwise
-    /// identical at every thread count.
-    pub fn penalty_grad_par(
-        &mut self,
-        model: &Model,
-        grad_x: &mut [f64],
-        grad_y: &mut [f64],
-        par: &Parallelism,
-    ) -> DensityStats {
-        let ElectroField { grid, members, scratch } = self;
-        let (nx, ny) = (grid.nx, grid.ny);
-
-        scratch.prepare(grid, members.len());
-        grid.density.iter_mut().for_each(|d| *d = 0.0);
-
-        // Pass 1: bin windows of each member's rectangle, parallel chunks.
-        {
-            let parts = scratch.window_parts();
-            let members: &[u32] = members;
-            let grid_ro: &BinGrid = grid;
-            chunked_map_parts(par, parts, |_ci, part| {
-                el_window_body(model, members, grid_ro, part)
-            });
-        }
-
-        // Band buckets (sequential ordered pushes).
-        scratch.bucket_bands(ny);
-
-        // Pass 2: overlap-proportional deposits, parallel over disjoint row
-        // bands, members ascending within each band.
-        {
-            let spans = el_band_spans(nx, ny);
-            let (origin, bin_w, bin_h) = (grid.origin, grid.bin_w, grid.bin_h);
-            let ctx = scratch.deposit_ctx(nx, ny, origin, bin_w, bin_h);
-            let parts: Vec<_> = split_at_spans(&mut grid.density, &spans)
-                .into_iter()
-                .enumerate()
-                .collect();
-            let members: &[u32] = members;
-            chunked_map_parts(par, parts, |_ci, (band, density)| {
-                el_deposit_body(model, members, &ctx, *band, density)
-            });
-        }
-
-        // Diagnostics + charge assembly (sequential: canonical reduction
-        // order, O(bins)). The charge is the *overflow* — area above the
-        // bin target — not the raw density: a zero-total raw charge would
-        // put negative charge on every underfull bin and drive the system
-        // toward full uniformity, over-spreading cells (and stretching
-        // nets) long after every bin meets its target. ePlace counters
-        // that with filler cells; clipping the charge to the overflow
-        // reaches the same equilibrium — no bin above target — without
-        // them. The balancing negative background sits on bins with slack
-        // (below-target capacity), proportional to that slack so blocked
-        // area attracts nothing, scaled so the total charge is exactly
-        // zero. Then the spectral Poisson solve and field extraction.
-        let stats = scratch.solve_field(grid, par);
-
-        // Pass 3: force gather `−q·E`, field overlap-averaged over the
-        // member's footprint, parallel over member chunks.
-        {
-            let stage = scratch.force_stage();
-            let ElForceStage { parts, .. } = stage;
-            let ctx = ElForceStage { parts: Vec::new(), ..stage };
-            let members: &[u32] = members;
-            let grid_ro: &BinGrid = grid;
-            chunked_map_parts(par, parts, |_ci, (span, gx_out, gy_out)| {
-                el_force_body(model, members, grid_ro, &ctx, span.clone(), gx_out, gy_out)
-            });
-        }
-
-        // Ordered scatter: ascending member order (the canonical merge).
-        let (mgx, mgy) = scratch.member_grads();
-        scatter_grads(members, mgx, mgy, grad_x, grad_y);
-        stats
-    }
-
-    /// Single-threaded [`ElectroField::penalty_grad_par`].
-    pub fn penalty_grad(
-        &mut self,
-        model: &Model,
-        grad_x: &mut [f64],
-        grad_y: &mut [f64],
-    ) -> DensityStats {
-        self.penalty_grad_par(model, grad_x, grad_y, &Parallelism::single())
     }
 }
 
@@ -619,7 +538,9 @@ pub fn build_electro_fields(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::fused_wl_electro_grad;
     use crate::model::{ModelNet, ModelPin};
+    use crate::wirelength::{WirelengthModel, WlScratch};
     use rdp_geom::Point;
 
     fn toy_model(positions: &[(f64, f64)], size: (f64, f64)) -> Model {
@@ -646,11 +567,32 @@ mod tests {
         )
     }
 
-    fn eval(f: &mut ElectroField, model: &Model) -> (DensityStats, Vec<f64>, Vec<f64>) {
-        let mut gx = vec![0.0; model.len()];
-        let mut gy = vec![0.0; model.len()];
-        let stats = f.penalty_grad(model, &mut gx, &mut gy);
+    /// The field's penalty and gradient through the fused pass.
+    fn eval_par(
+        f: &mut ElectroField,
+        model: &Model,
+        par: &Parallelism,
+    ) -> (DensityStats, Vec<f64>, Vec<f64>) {
+        let n = model.len();
+        let (mut wx, mut wy) = (vec![0.0; n], vec![0.0; n]);
+        let (mut gx, mut gy) = (vec![0.0; n], vec![0.0; n]);
+        let (_, stats) = fused_wl_electro_grad(
+            model,
+            WirelengthModel::Wa,
+            1.0,
+            std::slice::from_mut(f),
+            &mut WlScratch::new(),
+            &mut wx,
+            &mut wy,
+            &mut gx,
+            &mut gy,
+            par,
+        );
         (stats, gx, gy)
+    }
+
+    fn eval(f: &mut ElectroField, model: &Model) -> (DensityStats, Vec<f64>, Vec<f64>) {
+        eval_par(f, model, &Parallelism::single())
     }
 
     #[test]
@@ -744,14 +686,10 @@ mod tests {
             .collect();
         let model = toy_model(&positions, (5.0, 7.0));
         let mut base_f = field_for(&model, 32, 0.4);
-        let mut bgx = vec![0.0; model.len()];
-        let mut bgy = vec![0.0; model.len()];
-        let base = base_f.penalty_grad_par(&model, &mut bgx, &mut bgy, &Parallelism::single());
+        let (base, bgx, bgy) = eval_par(&mut base_f, &model, &Parallelism::single());
         for threads in [2, 8] {
             let mut f = field_for(&model, 32, 0.4);
-            let mut gx = vec![0.0; model.len()];
-            let mut gy = vec![0.0; model.len()];
-            let stats = f.penalty_grad_par(&model, &mut gx, &mut gy, &Parallelism::new(threads));
+            let (stats, gx, gy) = eval_par(&mut f, &model, &Parallelism::new(threads));
             assert_eq!(stats.penalty.to_bits(), base.penalty.to_bits(), "threads={threads}");
             assert_eq!(
                 stats.overflow_area.to_bits(),

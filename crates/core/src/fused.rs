@@ -1,32 +1,34 @@
-//! Fused wirelength + density gradient evaluation.
+//! Fused wirelength + density gradient evaluation: the one public entry
+//! point of the global placer's objective, smooth wirelength plus the
+//! density penalty.
 //!
 //! One Nesterov/CG gradient evaluation needs both the smooth-wirelength
 //! gradient ([`crate::wirelength`]) and the density gradient
-//! ([`crate::density`] or [`crate::electrostatics`]). Run separately, each
-//! kernel pays its own dispatch latency and leaves workers idle through its
-//! sequential sections (ordered totals, CSR prefix sums, the FFT staging).
-//! The fused pass merges *independent* chunk families of the two kernels
-//! into shared parallel regions via
+//! ([`crate::density`] or [`crate::electrostatics`]). Run one after the
+//! other, each kernel would pay its own dispatch latency and leave workers
+//! idle through its sequential sections (ordered totals, CSR prefix sums,
+//! the FFT staging). The fused pass merges *independent* chunk families of
+//! the kernels into shared parallel regions via
 //! [`rdp_geom::parallel::fused_chunked_parts`], so one dispatch covers the
 //! wirelength net phase *and* the density window pass, another covers the
-//! wirelength gather *and* the bell caches, and so on — fewer dispatches
-//! and barriers per evaluation, identical math.
+//! wirelength gather *and* the bell caches, and so on. An empty field
+//! slice evaluates the wirelength alone.
 //!
 //! # Determinism
 //!
-//! Every family keeps its exact chunk geometry, part slices and chunk
-//! bodies from the standalone kernels (the bodies are literally the same
-//! `pub(crate)` functions). Fusion only changes *which parallel region* a
-//! chunk runs in — never chunk boundaries, never the fold order of any
-//! reduction — so the fused pass is bitwise identical to calling
-//! [`crate::wirelength::smooth_wl_grad_par`] and the per-field
-//! `penalty_grad_par` back to back, at every thread count. The unit tests
-//! below assert exactly that.
+//! Every chunk family has a fixed geometry (chunk and band sizes are
+//! constants, never derived from the thread count) and every reduction
+//! folds in a fixed order. Fusion only changes *which parallel region* a
+//! chunk runs in, so the result is bitwise identical at every thread
+//! count. The unit tests below pin that at 1/2/4/8 threads; the
+//! pre-layout-refactor kernels in `crates/core/tests/reference/` are the
+//! independent oracle that `layout_equivalence.rs` checks the bell pass
+//! against bit for bit, per field and for both wirelength models.
 //!
 //! Sequential interludes (ordered wirelength total, CSR/bucket builds, the
-//! per-field penalty reductions and Poisson solves) stay sequential in
-//! their historical order; across fields they run in ascending field
-//! order, matching the optimizer's field loop.
+//! per-field penalty reductions and Poisson solves) stay sequential;
+//! across fields they run in ascending field order, matching the
+//! optimizer's field loop.
 
 use crate::density::{
     band_spans, den_bell_body, den_chain_body, den_deposit_body, den_window_body, scatter_grads,
@@ -60,12 +62,14 @@ fn accumulate(acc: &mut DensityStats, stats: DensityStats) {
 
 /// Fused evaluation of the smooth wirelength and the bell-kernel density
 /// fields: **accumulates** the wirelength gradient into `wl_gx`/`wl_gy` and
-/// the density gradient into `den_gx`/`den_gy` (callers zero), returning
-/// `(smooth_wl, stats)` — bitwise identical to
-/// [`smooth_wl_grad_par`](crate::wirelength::smooth_wl_grad_par) followed
-/// by `penalty_grad_par` on every field in order.
+/// the *unscaled* density-penalty gradient (`∂penalty/∂pos`) into
+/// `den_gx`/`den_gy` (callers zero), returning `(smooth_wl, stats)` with
+/// the wirelength net-weight scaled and the stats summed over `fields` in
+/// ascending order. Every field's members spread their areas over its
+/// bins with the bell kernel.
 ///
-/// Dispatch plan (4 parallel regions instead of `2 + 4·F`):
+/// Dispatch plan (4 parallel regions instead of `2 + 4·F` for the kernels
+/// run one after the other):
 /// 1. wirelength net phase ∥ window pass of every field,
 /// 2. wirelength gather ∥ bell caches of every field,
 /// 3. deposits of every field (disjoint row bands),
@@ -73,6 +77,11 @@ fn accumulate(acc: &mut DensityStats, stats: DensityStats) {
 ///
 /// with the sequential interludes (ordered total, CSR/buckets, penalty
 /// reduction, ordered scatters) between them.
+///
+/// # Panics
+///
+/// Panics if any of `wl_gx`, `wl_gy`, `den_gx`, `den_gy` does not have
+/// exactly `model.len()` entries.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_wl_den_grad(
     model: &Model,
@@ -86,8 +95,9 @@ pub fn fused_wl_den_grad(
     den_gy: &mut [f64],
     par: &Parallelism,
 ) -> (f64, DensityStats) {
-    assert_eq!(wl_gx.len(), model.len(), "gradient buffer size mismatch");
-    assert_eq!(wl_gy.len(), model.len(), "gradient buffer size mismatch");
+    for g in [&*wl_gx, &*wl_gy, &*den_gx, &*den_gy] {
+        assert_eq!(g.len(), model.len(), "gradient buffer size mismatch");
+    }
     wl_scratch.prepare(model);
 
     // Destructure each field once: the per-field borrows stay disjoint, so
@@ -221,8 +231,7 @@ pub fn fused_wl_den_grad(
         );
     }
 
-    // Sequential: ordered scatters, ascending field order (fields partition
-    // the objects, so this matches the per-field kernels exactly).
+    // Sequential: ordered scatters, ascending field order.
     for (fi, s) in scratches.iter().enumerate() {
         let (mgx, mgy) = s.member_grads();
         scatter_grads(membs[fi], mgx, mgy, den_gx, den_gy);
@@ -232,16 +241,23 @@ pub fn fused_wl_den_grad(
 
 /// Fused evaluation of the smooth wirelength and the electrostatic density
 /// fields — the [`fused_wl_den_grad`] counterpart for
-/// [`GpDensityModel::Electrostatic`](crate::optimizer::GpDensityModel).
-/// Bitwise identical to the standalone kernels in sequence.
+/// [`GpDensityModel::Electrostatic`](crate::optimizer::GpDensityModel):
+/// each field bins its members' areas, solves Poisson's equation for the
+/// field and adds `−q·E` per member into `den_gx`/`den_gy`.
 ///
-/// Dispatch plan (3 fused/shared regions instead of `2 + 3·F`, plus the
-/// per-field FFT solves which parallelize internally):
+/// Dispatch plan (3 fused/shared regions instead of `2 + 3·F` for the
+/// kernels run one after the other, plus the per-field FFT solves which
+/// parallelize internally):
 /// 1. wirelength net phase ∥ electro window pass (all fields),
 /// 2. wirelength gather ∥ electro deposits (all fields),
 /// 3. force gather of every field,
 ///
 /// with the Poisson solves sequential between 2 and 3 in field order.
+///
+/// # Panics
+///
+/// Panics if any of `wl_gx`, `wl_gy`, `den_gx`, `den_gy` does not have
+/// exactly `model.len()` entries.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_wl_electro_grad(
     model: &Model,
@@ -255,8 +271,9 @@ pub fn fused_wl_electro_grad(
     den_gy: &mut [f64],
     par: &Parallelism,
 ) -> (f64, DensityStats) {
-    assert_eq!(wl_gx.len(), model.len(), "gradient buffer size mismatch");
-    assert_eq!(wl_gy.len(), model.len(), "gradient buffer size mismatch");
+    for g in [&*wl_gx, &*wl_gy, &*den_gx, &*den_gy] {
+        assert_eq!(g.len(), model.len(), "gradient buffer size mismatch");
+    }
     wl_scratch.prepare(model);
 
     let mut grids: Vec<&mut BinGrid> = Vec::with_capacity(fields.len());
@@ -379,7 +396,6 @@ mod tests {
     use crate::density::build_fields;
     use crate::electrostatics::build_electro_fields;
     use crate::model::{ModelNet, ModelPin};
-    use crate::wirelength::smooth_wl_grad_par;
     use rdp_db::{Region, RegionId};
     use rdp_geom::{Point, Rect};
 
@@ -424,114 +440,127 @@ mod tests {
         (vec![0.0; n], vec![0.0; n])
     }
 
-    #[test]
-    fn fused_bell_matches_separate_kernels_bitwise() {
-        let (model, regions) = toy_model(600);
+    /// Everything one fused evaluation produces, as bit patterns: the
+    /// wirelength total, the summed stats, both gradients and every field's
+    /// binned density.
+    type Bits = (u64, [u64; 3], Vec<u64>, Vec<u64>);
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn bell_run(model: &Model, regions: &[Region], par: &Parallelism) -> Bits {
         let n = model.len();
-        let gamma = 4.0;
+        let mut fields = build_fields(model, regions, &[], 16, 0.6);
+        let (mut wx, mut wy) = grads(n);
+        let (mut dx, mut dy) = grads(n);
+        let (wl, stats) = fused_wl_den_grad(
+            model,
+            WirelengthModel::Wa,
+            4.0,
+            &mut fields,
+            &mut WlScratch::new(),
+            &mut wx,
+            &mut wy,
+            &mut dx,
+            &mut dy,
+            par,
+        );
+        let density: Vec<f64> = fields.iter().flat_map(|f| f.grid.density.clone()).collect();
+        let stats = [stats.penalty, stats.overflow_area, stats.max_ratio].map(f64::to_bits);
+        (wl.to_bits(), stats, bits(&[wx, wy, dx, dy].concat()), bits(&density))
+    }
+
+    fn electro_run(model: &Model, regions: &[Region], par: &Parallelism) -> Bits {
+        let n = model.len();
+        let mut fields = build_electro_fields(model, regions, &[], 16, 0.6);
+        let (mut wx, mut wy) = grads(n);
+        let (mut dx, mut dy) = grads(n);
+        let (wl, stats) = fused_wl_electro_grad(
+            model,
+            WirelengthModel::Lse,
+            4.0,
+            &mut fields,
+            &mut WlScratch::new(),
+            &mut wx,
+            &mut wy,
+            &mut dx,
+            &mut dy,
+            par,
+        );
+        let density: Vec<f64> = fields.iter().flat_map(|f| f.grid.density.clone()).collect();
+        let stats = [stats.penalty, stats.overflow_area, stats.max_ratio].map(f64::to_bits);
+        (wl.to_bits(), stats, bits(&[wx, wy, dx, dy].concat()), bits(&density))
+    }
+
+    #[test]
+    fn fused_bell_is_bitwise_identical_across_thread_counts() {
+        let (model, regions) = toy_model(600);
+        let base = bell_run(&model, &regions, &Parallelism::single());
+        assert!(base.1[0] != 0, "the toy design must overflow");
         for threads in [1, 2, 4, 8] {
-            let par = Parallelism::new(threads);
-            // Reference: standalone kernels in sequence.
-            let mut ref_fields = build_fields(&model, &regions, &[], 16, 0.6);
-            let mut ref_scratch = WlScratch::new();
-            let (mut rwx, mut rwy) = grads(n);
-            let (mut rdx, mut rdy) = grads(n);
-            let ref_wl = smooth_wl_grad_par(
-                &model,
-                WirelengthModel::Wa,
-                gamma,
-                &mut rwx,
-                &mut rwy,
-                &mut ref_scratch,
-                &par,
+            assert!(
+                bell_run(&model, &regions, &Parallelism::new(threads)) == base,
+                "fused bell pass differs at {threads} threads"
             );
-            let mut ref_stats = DensityStats::default();
-            for f in &mut ref_fields {
-                let s = f.penalty_grad_par(&model, &mut rdx, &mut rdy, &par);
-                accumulate(&mut ref_stats, s);
-            }
-            // Fused pass.
-            let mut fields = build_fields(&model, &regions, &[], 16, 0.6);
-            let mut scratch = WlScratch::new();
-            let (mut fwx, mut fwy) = grads(n);
-            let (mut fdx, mut fdy) = grads(n);
-            let (wl, stats) = fused_wl_den_grad(
-                &model,
-                WirelengthModel::Wa,
-                gamma,
-                &mut fields,
-                &mut scratch,
-                &mut fwx,
-                &mut fwy,
-                &mut fdx,
-                &mut fdy,
-                &par,
-            );
-            assert_eq!(wl.to_bits(), ref_wl.to_bits(), "threads={threads}");
-            assert_eq!(stats.penalty.to_bits(), ref_stats.penalty.to_bits());
-            assert_eq!(stats.overflow_area.to_bits(), ref_stats.overflow_area.to_bits());
-            assert_eq!(stats.max_ratio.to_bits(), ref_stats.max_ratio.to_bits());
-            for i in 0..n {
-                assert_eq!(fwx[i].to_bits(), rwx[i].to_bits(), "wl gx t={threads} i={i}");
-                assert_eq!(fwy[i].to_bits(), rwy[i].to_bits(), "wl gy t={threads} i={i}");
-                assert_eq!(fdx[i].to_bits(), rdx[i].to_bits(), "den gx t={threads} i={i}");
-                assert_eq!(fdy[i].to_bits(), rdy[i].to_bits(), "den gy t={threads} i={i}");
-            }
         }
     }
 
     #[test]
-    fn fused_electro_matches_separate_kernels_bitwise() {
+    fn fused_electro_is_bitwise_identical_across_thread_counts() {
         let (model, regions) = toy_model(600);
-        let n = model.len();
-        let gamma = 4.0;
+        let base = electro_run(&model, &regions, &Parallelism::single());
+        assert!(base.1[0] != 0, "the toy design must overflow");
         for threads in [1, 2, 4, 8] {
-            let par = Parallelism::new(threads);
-            let mut ref_fields = build_electro_fields(&model, &regions, &[], 16, 0.6);
-            let mut ref_scratch = WlScratch::new();
-            let (mut rwx, mut rwy) = grads(n);
-            let (mut rdx, mut rdy) = grads(n);
-            let ref_wl = smooth_wl_grad_par(
-                &model,
-                WirelengthModel::Lse,
-                gamma,
-                &mut rwx,
-                &mut rwy,
-                &mut ref_scratch,
-                &par,
+            assert!(
+                electro_run(&model, &regions, &Parallelism::new(threads)) == base,
+                "fused electro pass differs at {threads} threads"
             );
-            let mut ref_stats = DensityStats::default();
-            for f in &mut ref_fields {
-                let s = f.penalty_grad_par(&model, &mut rdx, &mut rdy, &par);
-                accumulate(&mut ref_stats, s);
-            }
-            let mut fields = build_electro_fields(&model, &regions, &[], 16, 0.6);
-            let mut scratch = WlScratch::new();
-            let (mut fwx, mut fwy) = grads(n);
-            let (mut fdx, mut fdy) = grads(n);
-            let (wl, stats) = fused_wl_electro_grad(
-                &model,
-                WirelengthModel::Lse,
-                gamma,
-                &mut fields,
-                &mut scratch,
-                &mut fwx,
-                &mut fwy,
-                &mut fdx,
-                &mut fdy,
-                &par,
-            );
-            assert_eq!(wl.to_bits(), ref_wl.to_bits(), "threads={threads}");
-            assert_eq!(stats.penalty.to_bits(), ref_stats.penalty.to_bits());
-            assert_eq!(stats.overflow_area.to_bits(), ref_stats.overflow_area.to_bits());
-            assert_eq!(stats.max_ratio.to_bits(), ref_stats.max_ratio.to_bits());
-            for i in 0..n {
-                assert_eq!(fwx[i].to_bits(), rwx[i].to_bits(), "wl gx t={threads} i={i}");
-                assert_eq!(fwy[i].to_bits(), rwy[i].to_bits(), "wl gy t={threads} i={i}");
-                assert_eq!(fdx[i].to_bits(), rdx[i].to_bits(), "el gx t={threads} i={i}");
-                assert_eq!(fdy[i].to_bits(), rdy[i].to_bits(), "el gy t={threads} i={i}");
-            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient buffer size mismatch")]
+    fn fused_bell_rejects_a_longer_density_buffer() {
+        let (model, regions) = toy_model(60);
+        let n = model.len();
+        let mut fields = build_fields(&model, &regions, &[], 16, 0.6);
+        let (mut wx, mut wy) = grads(n);
+        let (mut dx, mut dy) = grads(n + 1);
+        fused_wl_den_grad(
+            &model,
+            WirelengthModel::Wa,
+            4.0,
+            &mut fields,
+            &mut WlScratch::new(),
+            &mut wx,
+            &mut wy,
+            &mut dx,
+            &mut dy,
+            &Parallelism::single(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient buffer size mismatch")]
+    fn fused_electro_rejects_a_longer_density_buffer() {
+        let (model, regions) = toy_model(60);
+        let n = model.len();
+        let mut fields = build_electro_fields(&model, &regions, &[], 16, 0.6);
+        let (mut wx, mut wy) = grads(n);
+        let (mut dx, mut dy) = grads(n + 1);
+        fused_wl_electro_grad(
+            &model,
+            WirelengthModel::Wa,
+            4.0,
+            &mut fields,
+            &mut WlScratch::new(),
+            &mut wx,
+            &mut wy,
+            &mut dx,
+            &mut dy,
+            &Parallelism::single(),
+        );
     }
 
     #[test]

@@ -26,20 +26,11 @@ struct Cluster {
     last: usize,
 }
 
-/// Packs `seg.cells` into the segment and writes final positions
-/// (lower-left) into `placement`. Cells are placed at the segment's row
-/// with site-aligned x.
-pub fn pack_segment(design: &Design, placement: &mut Placement, seg: &mut Segment) {
-    for (id, p) in pack_positions(design, placement, seg) {
-        placement.set_lower_left(design, id, p);
-    }
-}
-
-/// Computes the packed lower-left position of every cell in `seg` without
-/// touching `placement`. Reads only the segment's own cells' current
-/// positions, so distinct segments (which hold disjoint cell sets) can be
-/// packed concurrently and the results applied afterwards in any order —
-/// the combined effect is identical to running [`pack_segment`] serially.
+/// Computes the packed lower-left position of every cell in `seg` (placed
+/// at the segment's row with site-aligned x) without touching
+/// `placement`. Reads only the segment's own cells' current positions, so
+/// distinct segments (which hold disjoint cell sets) can be packed
+/// concurrently and the results applied afterwards in any order.
 pub fn pack_positions(
     design: &Design,
     placement: &Placement,
@@ -171,6 +162,13 @@ mod tests {
         }
     }
 
+    /// Packs `seg` and writes the positions into `pl`.
+    fn pack(d: &rdp_db::Design, pl: &mut Placement, seg: &Segment) {
+        for (id, p) in pack_positions(d, pl, seg) {
+            pl.set_lower_left(d, id, p);
+        }
+    }
+
     fn assert_packed(d: &rdp_db::Design, pl: &Placement, seg: &Segment) {
         let mut rects: Vec<_> = seg
             .cells
@@ -201,8 +199,8 @@ mod tests {
         for id in d.node_ids() {
             pl.set_lower_left(&d, id, rdp_geom::Point::new(48.0, 0.0));
         }
-        let mut seg = segment_with(&d, 0.0, 100.0);
-        pack_segment(&d, &mut pl, &mut seg);
+        let seg = segment_with(&d, 0.0, 100.0);
+        pack(&d, &mut pl, &seg);
         assert_packed(&d, &pl, &seg);
         // Cluster centers on the common desired position.
         let min_x = seg.cells.iter().map(|&id| pl.lower_left(&d, id).x).fold(f64::INFINITY, f64::min);
@@ -219,8 +217,8 @@ mod tests {
             pl.set_lower_left(&d, id, rdp_geom::Point::new(10.0 + 20.0 * i as f64, 0.0));
         }
         let before: Vec<f64> = d.node_ids().map(|id| pl.lower_left(&d, id).x).collect();
-        let mut seg = segment_with(&d, 0.0, 100.0);
-        pack_segment(&d, &mut pl, &mut seg);
+        let seg = segment_with(&d, 0.0, 100.0);
+        pack(&d, &mut pl, &seg);
         let after: Vec<f64> = d.node_ids().map(|id| pl.lower_left(&d, id).x).collect();
         assert_eq!(before, after, "already-legal cells must not move");
     }
@@ -233,8 +231,8 @@ mod tests {
         for id in d.node_ids() {
             pl.set_lower_left(&d, id, rdp_geom::Point::new(95.0, 0.0));
         }
-        let mut seg = segment_with(&d, 0.0, 100.0);
-        pack_segment(&d, &mut pl, &mut seg);
+        let seg = segment_with(&d, 0.0, 100.0);
+        pack(&d, &mut pl, &seg);
         assert_packed(&d, &pl, &seg);
         let max_x = seg.cells.iter().map(|&id| pl.rect(&d, id).xh).fold(0.0f64, f64::max);
         assert!(max_x <= 100.0 + 1e-9);
@@ -249,8 +247,8 @@ mod tests {
         for (i, id) in d.node_ids().enumerate() {
             pl.set_lower_left(&d, id, rdp_geom::Point::new(3.0 * i as f64, 0.0));
         }
-        let mut seg = segment_with(&d, 0.0, 50.0);
-        pack_segment(&d, &mut pl, &mut seg);
+        let seg = segment_with(&d, 0.0, 50.0);
+        pack(&d, &mut pl, &seg);
         assert_packed(&d, &pl, &seg);
     }
 
@@ -258,13 +256,13 @@ mod tests {
     fn empty_segment_is_noop() {
         let d = design(1, 4.0);
         let mut pl = Placement::new_centered(&d);
-        let mut seg = Segment {
+        let seg = Segment {
             row: 0,
             interval: Interval::new(0.0, 10.0),
             region: None,
             used: 0.0,
             cells: vec![],
         };
-        pack_segment(&d, &mut pl, &mut seg); // must not panic
+        pack(&d, &mut pl, &seg); // must not panic
     }
 }

@@ -13,10 +13,10 @@ mod macros;
 mod segments;
 mod tetris;
 
-pub use abacus::{pack_positions, pack_segment};
+pub use abacus::pack_positions;
 pub use macros::legalize_macros;
 pub use segments::{build_segments, Segment};
-pub use tetris::{assign_cells, assign_cells_par};
+pub use tetris::assign_cells_par;
 
 use rdp_db::{Design, NodeKind, Placement};
 use rdp_geom::parallel::{chunked_map, Parallelism};
@@ -39,62 +39,29 @@ pub struct LegalizeStats {
     pub failed: usize,
 }
 
-/// Legalizes `placement` in place: macros, then standard cells.
+/// Legalizes `placement` in place — macros, then standard cells — and
+/// reports the displacement against the pre-call placement.
 ///
 /// After this call every movable node is on-die, macros are
 /// non-overlapping and row/site aligned, and standard cells are
-/// row/site-legal within fence-respecting segments.
-pub fn legalize(design: &Design, placement: &mut Placement) -> LegalizeStats {
-    // Normalize standard-cell orientations to row-legal ones first.
-    for id in design.node_ids() {
-        if design.node(id).is_std_cell() {
-            let o = placement.orient(id);
-            if o.swaps_dimensions() || o.quarter_turns() == 2 {
-                placement.set_orient(id, if o.is_flipped() { Orient::FN } else { Orient::N });
-            }
-        }
-    }
-
-    let mut obstacles: Vec<rdp_geom::Rect> = design
-        .node_ids()
-        .filter(|&id| design.node(id).kind() == NodeKind::Fixed)
-        .flat_map(|id| design.blocking_rects(id, placement))
-        .collect();
-
-    let macro_rects = legalize_macros(design, placement, &obstacles);
-    obstacles.extend(macro_rects);
-
-    let mut segments = build_segments(design, &obstacles);
-    let stats = LegalizeStats {
-        failed: assign_cells(design, placement, &mut segments),
-        ..LegalizeStats::default()
-    };
-
-    for seg in &mut segments {
-        pack_segment(design, placement, seg);
-    }
-
-    // Displacement accounting (macros + cells, against pre-call positions
-    // is not available here, so callers wanting exact displacement snapshot
-    // positions beforehand; we measure nothing in that case).
-    stats
-}
-
-/// Band-parallel legalization: same flow as [`legalize`], but the
-/// standard-cell stages run on the worker pool — Tetris assignment over
+/// row/site-legal within fence-respecting segments (`failed` counts the
+/// cells that found no segment; 0 on any sanely sized design).
+///
+/// The standard-cell stages run on the worker pool: Tetris assignment over
 /// independent horizontal row bands ([`assign_cells_par`]) and Abacus
 /// packing over segments (each segment reads and writes only its own
 /// disjoint cell set, so [`pack_positions`] runs concurrently and the
-/// results are applied in segment order).
-///
-/// The result depends only on the input design and placement, never on
-/// the thread count. Macro legalization and orientation normalization
-/// stay serial — they are a vanishing fraction of legalization time.
-pub fn legalize_par(
+/// results are applied in segment order). The result depends only on the
+/// input design and placement, never on the thread count. Macro
+/// legalization and orientation normalization stay serial — they are a
+/// vanishing fraction of legalization time.
+pub fn legalize_with_displacement_par(
     design: &Design,
     placement: &mut Placement,
     par: &Parallelism,
 ) -> LegalizeStats {
+    let before = placement.clone();
+    // Normalize standard-cell orientations to row-legal ones first.
     for id in design.node_ids() {
         if design.node(id).is_std_cell() {
             let o = placement.orient(id);
@@ -121,8 +88,8 @@ pub fn legalize_par(
 
     // Pack every segment concurrently against the frozen placement, then
     // apply in segment order. Segments hold disjoint cell sets and each
-    // pack reads only its own cells, so this matches the serial
-    // pack-then-write loop bitwise.
+    // pack reads only its own cells, so the order of application is
+    // immaterial.
     let placement_ro: &Placement = placement;
     let seg_ro: &[Segment] = &segments;
     let packed = chunked_map(par, segments.len(), |i| {
@@ -133,26 +100,6 @@ pub fn legalize_par(
             placement.set_lower_left(design, id, p);
         }
     }
-    stats
-}
-
-/// Convenience: legalize and report displacement against a snapshot taken
-/// before legalization.
-pub fn legalize_with_displacement(design: &Design, placement: &mut Placement) -> LegalizeStats {
-    let before = placement.clone();
-    let stats = legalize(design, placement);
-    displacement_stats(design, placement, &before, stats)
-}
-
-/// [`legalize_par`] plus displacement reporting, mirroring
-/// [`legalize_with_displacement`].
-pub fn legalize_with_displacement_par(
-    design: &Design,
-    placement: &mut Placement,
-    par: &Parallelism,
-) -> LegalizeStats {
-    let before = placement.clone();
-    let stats = legalize_par(design, placement, par);
     displacement_stats(design, placement, &before, stats)
 }
 
@@ -199,7 +146,7 @@ mod tests {
         let bench = generate(&GeneratorConfig::tiny("lg1", 21)).unwrap();
         let mut pl = bench.placement.clone();
         scatter(&bench.design, &mut pl, 1);
-        let stats = legalize_with_displacement(&bench.design, &mut pl);
+        let stats = legalize_with_displacement_par(&bench.design, &mut pl, &Parallelism::single());
         assert_eq!(stats.failed, 0, "all cells must find a segment");
         let report = check_legal(&bench.design, &pl, 50);
         assert!(
@@ -216,7 +163,7 @@ mod tests {
         let bench = generate(&GeneratorConfig::hierarchical("lg2", 22, 2)).unwrap();
         let mut pl = bench.placement.clone();
         scatter(&bench.design, &mut pl, 2);
-        let stats = legalize_with_displacement(&bench.design, &mut pl);
+        let stats = legalize_with_displacement_par(&bench.design, &mut pl, &Parallelism::single());
         assert_eq!(stats.failed, 0);
         let report = check_legal(&bench.design, &pl, 50);
         assert_eq!(
@@ -232,10 +179,10 @@ mod tests {
         let bench = generate(&GeneratorConfig::tiny("lg3", 23)).unwrap();
         let mut pl = bench.placement.clone();
         scatter(&bench.design, &mut pl, 3);
-        legalize(&bench.design, &mut pl);
+        legalize_with_displacement_par(&bench.design, &mut pl, &Parallelism::single());
         let h1 = rdp_db::hpwl::total_hpwl(&bench.design, &pl);
         // Re-legalizing an already legal placement should barely move cells.
-        let stats = legalize_with_displacement(&bench.design, &mut pl);
+        let stats = legalize_with_displacement_par(&bench.design, &mut pl, &Parallelism::single());
         let h2 = rdp_db::hpwl::total_hpwl(&bench.design, &pl);
         assert!(stats.failed == 0);
         assert!(

@@ -1,8 +1,8 @@
-//! Tetris-style greedy segment assignment for standard cells: the global
-//! serial sweep ([`assign_cells`]) and its band-parallel counterpart
-//! ([`assign_cells_par`]) which partitions rows into fixed horizontal
-//! bands, runs an independent sweep per band on the worker pool, and
-//! recovers cross-band strays with a deterministic serial pass.
+//! Tetris-style greedy segment assignment for standard cells
+//! ([`assign_cells_par`]): rows are partitioned into fixed horizontal
+//! bands, each band runs an independent sweep on the worker pool, and a
+//! deterministic serial pass recovers cross-band strays. Designs within
+//! one band run the global serial sweep ([`assign_cells`]).
 
 use super::segments::Segment;
 use rdp_db::{Design, NodeId, Placement, RegionId};
@@ -79,7 +79,7 @@ fn x_sorted_cells(design: &Design, placement: &Placement) -> Vec<NodeId> {
 /// undercuts the L1 distance to a segment's span, so the windowed search
 /// returns the same `(cost, index)`-minimal segment as a full scan —
 /// including the lowest-segment-index tie-break.
-pub fn assign_cells(design: &Design, placement: &Placement, segments: &mut [Segment]) -> usize {
+fn assign_cells(design: &Design, placement: &Placement, segments: &mut [Segment]) -> usize {
     let site = design
         .rows()
         .first()
@@ -132,7 +132,7 @@ struct BandOutcome {
 }
 
 /// Band-parallel Tetris assignment: rows are partitioned into fixed
-/// [`BAND_ROWS`]-row horizontal bands; each cell is binned to the band of
+/// 32-row horizontal bands; each cell is binned to the band of
 /// its nearest row (by desired y, lower row index on ties) and each band
 /// runs an independent greedy sweep over only its own segments. Band
 /// results are merged in ascending band order, then cells that found no
@@ -143,7 +143,7 @@ struct BandOutcome {
 /// function of the row count, every band worker is a pure function of the
 /// pre-merge state, and both merge and recovery run in a fixed order — so
 /// any thread count (including 1) produces bitwise-identical segments.
-/// Designs spanning a single band take the [`assign_cells`] path verbatim.
+/// Designs spanning a single band take the global serial sweep verbatim.
 pub fn assign_cells_par(
     design: &Design,
     placement: &Placement,

@@ -11,7 +11,7 @@
 //!    on a smooth wirelength model ([`wirelength`]: LSE or the
 //!    weighted-average model) plus a bell-shaped density penalty
 //!    ([`density`]) with per-fence density fields and a fence pull-in
-//!    force ([`fence`]);
+//!    force ([`fence`]), both evaluated by one fused pass ([`fused`]);
 //! 3. **macro rotation/flipping** ([`macro_handling`]);
 //! 4. **routability optimization** ([`inflation`]) — congestion-estimate →
 //!    cell inflation → re-place loop against `rdp-route`;

@@ -119,14 +119,13 @@ impl DensityEngine {
         }
     }
 
-    /// One fused gradient evaluation: the smooth-wirelength kernel and
-    /// every density field share parallel regions (see [`crate::fused`]),
-    /// so each optimizer iteration pays one dispatch sequence instead of
-    /// one per kernel. Accumulates the wirelength gradient into
+    /// One fused gradient evaluation through the engine's entry point
+    /// ([`crate::fused`]): the smooth-wirelength kernel and every density
+    /// field share parallel regions, so each optimizer iteration pays one
+    /// dispatch sequence. Accumulates the wirelength gradient into
     /// `wl_gx`/`wl_gy` and the density gradient into `den_gx`/`den_gy`
-    /// (callers zero), returning `(smooth_wl, stats)` — bitwise identical
-    /// to [`crate::wirelength::smooth_wl_grad_par`] followed by every
-    /// field's `penalty_grad_par` in ascending field order.
+    /// (callers zero), returning `(smooth_wl, stats)` with the stats
+    /// summed over the fields in ascending field order.
     #[allow(clippy::too_many_arguments)]
     fn eval_fused(
         &mut self,
@@ -162,7 +161,7 @@ pub struct GpOptions {
     pub target_density: f64,
     /// Maximum penalty (λ-doubling) rounds.
     pub max_outer: usize,
-    /// CG iterations per round.
+    /// Descent iterations per round (CG or Nesterov).
     pub inner_iters: usize,
     /// Stop when overflow area / movable area falls below this.
     pub overflow_target: f64,
@@ -174,7 +173,7 @@ pub struct GpOptions {
     pub lambda_growth: f64,
     /// Weight of the fence pull-in force relative to the density gradient.
     pub fence_weight: f64,
-    /// Maximum move per CG step, in bins.
+    /// Maximum move per descent step (CG or Nesterov), in bins.
     pub step_bins: f64,
     /// Descent method (CG default; Nesterov for the ePlace-style path).
     pub solver: GpSolver,

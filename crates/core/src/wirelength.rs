@@ -16,8 +16,8 @@
 //! cached. That is what makes divergence recovery sound — when the
 //! optimizer restores a finite iterate after a blow-up, the very next
 //! evaluation anchors its exponents to the restored (finite) extremes, so
-//! no stale shift can re-poison the model. A non-finite result from these
-//! functions is therefore a property of the *input iterate*, detectable
+//! no stale shift can re-poison the model. A non-finite result from the
+//! wirelength pass is therefore a property of the *input iterate*, detectable
 //! with [`all_finite`] and recoverable by restoring coordinates, not a
 //! sticky internal state.
 //!
@@ -45,9 +45,7 @@
 //! `DESIGN.md` §10 for why that preserves bitwise determinism).
 
 use crate::model::{Model, FIXED_PIN};
-use rdp_geom::parallel::{
-    chunk_spans, chunked_map_parts_with, split_at_spans, Parallelism,
-};
+use rdp_geom::parallel::{chunk_spans, split_at_spans};
 
 /// Nets per parallel work chunk. Fixed (never derived from the thread
 /// count) so chunk boundaries — and therefore the floating-point reduction
@@ -169,9 +167,10 @@ fn wa_axis(coords: &[f64], gamma: f64, pin_grad: &mut [f64], ep: &mut Vec<f64>, 
     f_max - f_min
 }
 
-/// Reusable scratch for [`smooth_wl_grad_par`]: chunk spans plus the flat
-/// per-pin gradient and per-net total arrays. Hoisted by the optimizer so
-/// no allocation happens per iteration.
+/// Reusable wirelength scratch of the fused gradient pass
+/// ([`crate::fused`]): chunk spans plus the flat per-pin gradient and
+/// per-net total arrays. Hoisted by the optimizer so no allocation happens
+/// per iteration.
 #[derive(Debug, Clone, Default)]
 pub struct WlScratch {
     net_spans: Vec<std::ops::Range<usize>>,
@@ -269,8 +268,7 @@ pub(crate) struct AxisScratch {
 
 /// Net-phase body: evaluates one chunk of nets, writing weight-scaled
 /// per-pin gradients and per-net totals into the part's disjoint slices.
-/// Shared verbatim by [`smooth_wl_grad_par`] and the fused gradient pass
-/// ([`crate::fused`]) so both produce bitwise identical values.
+/// The fused gradient pass ([`crate::fused`]) runs it once per chunk.
 pub(crate) fn wl_net_phase(
     model: &Model,
     which: WirelengthModel,
@@ -330,8 +328,8 @@ pub(crate) fn wl_net_phase(
 }
 
 /// Gather-phase body: accumulates one chunk of objects' gradients from the
-/// per-pin gradients by walking the ascending-pin transpose. Shared by
-/// [`smooth_wl_grad_par`] and the fused pass.
+/// per-pin gradients by walking the ascending-pin transpose; the fused
+/// pass runs it once per chunk.
 pub(crate) fn wl_obj_phase(
     model: &Model,
     pin_grad_x: &[f64],
@@ -363,83 +361,6 @@ pub(crate) fn wl_ordered_total(model: &Model, net_total: &[f64]) -> f64 {
     total
 }
 
-/// Evaluates the smooth wirelength of `model` and **accumulates** its
-/// gradient into `grad_x`/`grad_y` (one entry per object; caller zeroes),
-/// using up to `par` worker threads.
-///
-/// Nets are partitioned into fixed-size chunks evaluated against the
-/// immutable model; each chunk writes its per-pin gradients and per-net
-/// totals into disjoint slices of `scratch`, the total is folded
-/// sequentially in net order, and the per-object gather walks the
-/// ascending-pin transpose — so the result is bitwise identical at every
-/// thread count (and to the historical implementation, the test oracle in
-/// `tests/reference/`).
-///
-/// Returns the total smooth wirelength (net-weight scaled).
-///
-/// # Panics
-///
-/// Panics if `grad_x.len() != model.len()` (or `grad_y`).
-pub fn smooth_wl_grad_par(
-    model: &Model,
-    which: WirelengthModel,
-    gamma: f64,
-    grad_x: &mut [f64],
-    grad_y: &mut [f64],
-    scratch: &mut WlScratch,
-    par: &Parallelism,
-) -> f64 {
-    assert_eq!(grad_x.len(), model.len(), "gradient buffer size mismatch");
-    assert_eq!(grad_y.len(), model.len(), "gradient buffer size mismatch");
-    debug_assert!(gamma > 0.0, "smoothing parameter γ must be positive, got {gamma}");
-    scratch.prepare(model);
-
-    // Phase 1: per-net evaluation into disjoint chunk slices. A chunk of
-    // nets owns the contiguous pin range its nets cover.
-    {
-        let parts = scratch.net_parts(model);
-        chunked_map_parts_with(par, parts, AxisScratch::default, |ax, _ci, part| {
-            wl_net_phase(model, which, gamma, ax, part)
-        });
-    }
-
-    let total = wl_ordered_total(model, scratch.net_totals());
-
-    // Phase 2: per-object gather over the ascending-pin transpose. Each
-    // object's additions happen in ascending pin index order — identical
-    // to the historical net-then-pin scatter order restricted to that
-    // object — and chunks write disjoint gradient ranges.
-    {
-        let (pin_grad_x, pin_grad_y) = scratch.pin_grads();
-        let parts = scratch.obj_parts(grad_x, grad_y);
-        chunked_map_parts_with(par, parts, || (), |(), _ci, part| {
-            wl_obj_phase(model, pin_grad_x, pin_grad_y, part)
-        });
-    }
-    total
-}
-
-/// Single-threaded [`smooth_wl_grad_par`] with throwaway scratch (the
-/// historical entry point; tests and cold paths).
-pub fn smooth_wl_grad(
-    model: &Model,
-    which: WirelengthModel,
-    gamma: f64,
-    grad_x: &mut [f64],
-    grad_y: &mut [f64],
-) -> f64 {
-    let mut scratch = WlScratch::new();
-    smooth_wl_grad_par(model, which, gamma, grad_x, grad_y, &mut scratch, &Parallelism::single())
-}
-
-/// Evaluates the smooth wirelength only (no gradient) — used by the
-/// discrete macro-orientation search.
-pub fn smooth_wl(model: &Model, which: WirelengthModel, gamma: f64) -> f64 {
-    let mut gx = vec![0.0; model.len()];
-    let mut gy = vec![0.0; model.len()];
-    smooth_wl_grad(model, which, gamma, &mut gx, &mut gy)
-}
-
 /// Whether a smooth-wirelength evaluation is numerically healthy: finite
 /// objective and finite gradient in every component. The optimizer's
 /// divergence detection — a `false` here is the recoverable `Diverged`
@@ -453,7 +374,9 @@ pub fn all_finite(wl: f64, grad_x: &[f64], grad_y: &[f64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::fused_wl_den_grad;
     use crate::model::{ModelNet, ModelPin, FIXED_PIN};
+    use rdp_geom::parallel::Parallelism;
     use rdp_geom::{Point, Rect};
 
     fn toy_model(positions: &[(f64, f64)]) -> Model {
@@ -473,10 +396,30 @@ mod tests {
         )
     }
 
+    /// Smooth wirelength and its gradient through the fused pass with no
+    /// density field.
+    fn eval(
+        model: &Model,
+        which: WirelengthModel,
+        gamma: f64,
+        par: &Parallelism,
+    ) -> (f64, Vec<f64>, Vec<f64>) {
+        let n = model.len();
+        let (mut gx, mut gy) = (vec![0.0; n], vec![0.0; n]);
+        let (mut dx, mut dy) = (vec![0.0; n], vec![0.0; n]);
+        let (wl, _) = fused_wl_den_grad(
+            model, which, gamma, &mut [], &mut WlScratch::new(), &mut gx, &mut gy, &mut dx,
+            &mut dy, par,
+        );
+        (wl, gx, gy)
+    }
+
+    fn wl_of(model: &Model, which: WirelengthModel, gamma: f64) -> f64 {
+        eval(model, which, gamma, &Parallelism::single()).0
+    }
+
     fn grad_of(model: &Model, which: WirelengthModel, gamma: f64) -> (Vec<f64>, Vec<f64>) {
-        let mut gx = vec![0.0; model.len()];
-        let mut gy = vec![0.0; model.len()];
-        smooth_wl_grad(model, which, gamma, &mut gx, &mut gy);
+        let (_, gx, gy) = eval(model, which, gamma, &Parallelism::single());
         (gx, gy)
     }
 
@@ -485,8 +428,8 @@ mod tests {
         let model = toy_model(&[(10.0, 10.0), (30.0, 25.0), (18.0, 40.0)]);
         let hpwl = model.hpwl();
         for gamma in [1.0, 4.0, 16.0] {
-            let lse = smooth_wl(&model, WirelengthModel::Lse, gamma);
-            let wa = smooth_wl(&model, WirelengthModel::Wa, gamma);
+            let lse = wl_of(&model, WirelengthModel::Lse, gamma);
+            let wa = wl_of(&model, WirelengthModel::Wa, gamma);
             assert!(lse >= hpwl - 1e-9, "LSE {lse} < HPWL {hpwl} at γ={gamma}");
             assert!(wa <= hpwl + 1e-9, "WA {wa} > HPWL {hpwl} at γ={gamma}");
         }
@@ -502,8 +445,8 @@ mod tests {
         let model = toy_model(&[(10.0, 10.0), (30.0, 25.0), (18.0, 40.0), (5.0, 33.0)]);
         let hpwl = model.hpwl();
         for gamma in [12.0, 20.0, 40.0] {
-            let lse_err = (smooth_wl(&model, WirelengthModel::Lse, gamma) - hpwl).abs();
-            let wa_err = (smooth_wl(&model, WirelengthModel::Wa, gamma) - hpwl).abs();
+            let lse_err = (wl_of(&model, WirelengthModel::Lse, gamma) - hpwl).abs();
+            let wa_err = (wl_of(&model, WirelengthModel::Wa, gamma) - hpwl).abs();
             assert!(
                 wa_err < lse_err,
                 "WA error {wa_err} not tighter than LSE {lse_err} at γ={gamma}"
@@ -516,8 +459,8 @@ mod tests {
         let model = toy_model(&[(10.0, 10.0), (37.0, 22.0)]);
         let hpwl = model.hpwl();
         for which in [WirelengthModel::Lse, WirelengthModel::Wa] {
-            let coarse = (smooth_wl(&model, which, 8.0) - hpwl).abs();
-            let fine = (smooth_wl(&model, which, 0.25) - hpwl).abs();
+            let coarse = (wl_of(&model, which, 8.0) - hpwl).abs();
+            let fine = (wl_of(&model, which, 0.25) - hpwl).abs();
             assert!(fine < coarse, "{which:?} did not tighten: {fine} vs {coarse}");
             assert!(fine < 0.5, "{which:?} still {fine} off at γ=0.25");
         }
@@ -541,7 +484,7 @@ mod tests {
                         mp.pos_y[i] += h;
                         mm.pos_y[i] -= h;
                     }
-                    let fd = (smooth_wl(&mp, which, gamma) - smooth_wl(&mm, which, gamma)) / (2.0 * h);
+                    let fd = (wl_of(&mp, which, gamma) - wl_of(&mm, which, gamma)) / (2.0 * h);
                     let an = if axis == 0 { gx[i] } else { gy[i] };
                     assert!(
                         (fd - an).abs() < 1e-5 * (1.0 + fd.abs()),
@@ -557,7 +500,7 @@ mod tests {
         // Without max-shift, e^{50000/0.01} overflows instantly.
         let model = toy_model(&[(50_000.0, 49_000.0), (49_000.0, 50_000.0)]);
         for which in [WirelengthModel::Lse, WirelengthModel::Wa] {
-            let wl = smooth_wl(&model, which, 0.01);
+            let wl = wl_of(&model, which, 0.01);
             assert!(wl.is_finite(), "{which:?} overflowed");
             assert!((wl - model.hpwl()).abs() < 1.0);
             let (gx, gy) = grad_of(&model, which, 0.01);
@@ -568,9 +511,9 @@ mod tests {
     #[test]
     fn net_weight_scales_contribution() {
         let mut model = toy_model(&[(0.0, 0.0), (10.0, 0.0)]);
-        let base = smooth_wl(&model, WirelengthModel::Wa, 1.0);
+        let base = wl_of(&model, WirelengthModel::Wa, 1.0);
         model.net_weight[0] = 3.0;
-        assert!((smooth_wl(&model, WirelengthModel::Wa, 1.0) - 3.0 * base).abs() < 1e-9);
+        assert!((wl_of(&model, WirelengthModel::Wa, 1.0) - 3.0 * base).abs() < 1e-9);
     }
 
     #[test]
@@ -642,24 +585,14 @@ mod tests {
             vec![],
         );
         for which in [WirelengthModel::Lse, WirelengthModel::Wa] {
-            let mut scratch = WlScratch::new();
-            let mut base_gx = vec![0.0; n];
-            let mut base_gy = vec![0.0; n];
-            let base = smooth_wl_grad_par(
-                &model, which, 2.0, &mut base_gx, &mut base_gy, &mut scratch,
-                &Parallelism::single(),
-            );
+            let (base, base_gx, base_gy) = eval(&model, which, 2.0, &Parallelism::single());
             for threads in [2, 8] {
-                let mut gx = vec![0.0; n];
-                let mut gy = vec![0.0; n];
-                let wl = smooth_wl_grad_par(
-                    &model, which, 2.0, &mut gx, &mut gy, &mut scratch,
-                    &Parallelism::new(threads),
-                );
+                let (wl, gx, gy) = eval(&model, which, 2.0, &Parallelism::new(threads));
                 assert_eq!(wl.to_bits(), base.to_bits(), "{which:?} threads={threads}");
                 for i in 0..n {
-                    assert_eq!(gx[i].to_bits(), base_gx[i].to_bits(), "{which:?} t={threads} i={i}");
-                    assert_eq!(gy[i].to_bits(), base_gy[i].to_bits(), "{which:?} t={threads} i={i}");
+                    let label = format!("{which:?} t={threads} i={i}");
+                    assert_eq!(gx[i].to_bits(), base_gx[i].to_bits(), "{label}");
+                    assert_eq!(gy[i].to_bits(), base_gy[i].to_bits(), "{label}");
                 }
             }
         }

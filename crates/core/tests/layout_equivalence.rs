@@ -1,16 +1,21 @@
-//! Layout-equivalence oracle: the CSR/SoA model and its flat-array kernels
-//! must be observationally identical — **bitwise**, not approximately — to
-//! the pre-refactor AoS representation preserved in the `reference` oracle.
+//! Layout-equivalence oracle: the CSR/SoA model and the fused gradient
+//! pass that production runs must be observationally identical —
+//! **bitwise**, not approximately — to the pre-refactor AoS representation
+//! and kernels preserved in the `reference` oracle.
 //!
-//! Every case converts a generated design to both layouts, evaluates HPWL,
-//! both smooth-wirelength models and the density penalty at 1/2/8 threads,
-//! and compares totals and every gradient component by bit pattern.
+//! Every case converts a generated design to both layouts and evaluates
+//! HPWL, both smooth-wirelength models (the fused pass with no density
+//! field) and the bell density penalty of every field, fence fields
+//! included (the fused pass with that one field), at 1/2/8 threads, and
+//! compares totals and every gradient component by bit pattern.
 
 mod reference;
 
-use rdp_core::density::build_fields;
+use rdp_core::density::{build_fields, DensityField, DensityStats};
+use rdp_core::fused::fused_wl_den_grad;
 use rdp_core::model::Model;
-use rdp_core::wirelength::{smooth_wl_grad_par, WirelengthModel, WlScratch};
+use rdp_core::wirelength::{WirelengthModel, WlScratch};
+use rdp_db::Region;
 use rdp_gen::{generate, GeneratorConfig};
 use rdp_geom::parallel::Parallelism;
 use rdp_geom::Point;
@@ -18,8 +23,26 @@ use reference::{ref_smooth_wl_grad_par, RefDensityField, RefModel};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
-/// Generated designs covering flat, hierarchical and macro-heavy shapes.
-fn cases() -> Vec<Model> {
+/// One fused evaluation over `fields`: the wirelength total and gradient,
+/// the summed density stats and the density gradient.
+fn fused(
+    model: &Model,
+    which: WirelengthModel,
+    fields: &mut [DensityField],
+    scratch: &mut WlScratch,
+    par: &Parallelism,
+) -> (f64, Vec<f64>, Vec<f64>, DensityStats, Vec<f64>, Vec<f64>) {
+    let zeros = || vec![0.0; model.len()];
+    let (mut gx, mut gy, mut dx, mut dy) = (zeros(), zeros(), zeros(), zeros());
+    let (wl, stats) = fused_wl_den_grad(
+        model, which, 12.0, fields, scratch, &mut gx, &mut gy, &mut dx, &mut dy, par,
+    );
+    (wl, gx, gy, stats, dx, dy)
+}
+
+/// Generated designs covering flat, hierarchical (two fence regions) and
+/// macro-heavy shapes, each with its fence regions.
+fn cases() -> Vec<(Model, Vec<Region>)> {
     let mut out = Vec::new();
     for (i, cfg) in [
         GeneratorConfig::tiny("eq-flat", 41),
@@ -39,14 +62,14 @@ fn cases() -> Vec<Model> {
             let y = rng.gen_range(die.yl..die.yh);
             model.set_pos(k, Point::new(x, y));
         }
-        out.push(model);
+        out.push((model, bench.design.regions().to_vec()));
     }
     out
 }
 
 #[test]
 fn hpwl_is_bitwise_identical_to_reference_layout() {
-    for (ci, model) in cases().iter().enumerate() {
+    for (ci, (model, _)) in cases().iter().enumerate() {
         let reference = RefModel::from_model(model);
         assert_eq!(
             model.hpwl().to_bits(),
@@ -60,16 +83,13 @@ fn hpwl_is_bitwise_identical_to_reference_layout() {
 
 #[test]
 fn wirelength_gradients_are_bitwise_identical_to_reference_layout() {
-    for (ci, model) in cases().iter().enumerate() {
+    for (ci, (model, _)) in cases().iter().enumerate() {
         let reference = RefModel::from_model(model);
         let mut scratch = WlScratch::new();
         for which in [WirelengthModel::Lse, WirelengthModel::Wa] {
             for threads in THREADS {
                 let par = Parallelism::new(threads);
-                let mut gx = vec![0.0; model.len()];
-                let mut gy = vec![0.0; model.len()];
-                let total =
-                    smooth_wl_grad_par(model, which, 12.0, &mut gx, &mut gy, &mut scratch, &par);
+                let (total, gx, gy, ..) = fused(model, which, &mut [], &mut scratch, &par);
 
                 let mut ref_grad = vec![Point::ORIGIN; model.len()];
                 let ref_total =
@@ -91,16 +111,19 @@ fn wirelength_gradients_are_bitwise_identical_to_reference_layout() {
 
 #[test]
 fn density_penalty_and_gradients_are_bitwise_identical_to_reference_layout() {
-    for (ci, model) in cases().iter().enumerate() {
+    let mut fence_fields = 0;
+    for (ci, (model, regions)) in cases().iter().enumerate() {
         let bins = ((model.len() as f64).sqrt().ceil() as usize).clamp(16, 256);
-        let mut fields = build_fields(model, &[], &[], bins, 0.9);
+        let mut fields = build_fields(model, regions, &[], bins, 0.9);
+        fence_fields += fields.len() - 1;
+        let mut scratch = WlScratch::new();
         for (fi, field) in fields.iter_mut().enumerate() {
             let mut reference = RefDensityField::from_field(field);
             for threads in THREADS {
                 let par = Parallelism::new(threads);
-                let mut gx = vec![0.0; model.len()];
-                let mut gy = vec![0.0; model.len()];
-                let stats = field.penalty_grad_par(model, &mut gx, &mut gy, &par);
+                let which = WirelengthModel::Wa;
+                let (.., stats, gx, gy) =
+                    fused(model, which, std::slice::from_mut(field), &mut scratch, &par);
 
                 let ref_model = RefModel::from_model(model);
                 let mut ref_grad = vec![Point::ORIGIN; model.len()];
@@ -132,4 +155,5 @@ fn density_penalty_and_gradients_are_bitwise_identical_to_reference_layout() {
             }
         }
     }
+    assert!(fence_fields >= 2, "the hierarchical case must contribute fence fields");
 }

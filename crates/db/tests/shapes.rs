@@ -67,12 +67,13 @@ fn cell_in_the_notch_is_legal() {
 
 #[test]
 fn legalizer_can_use_the_notch() {
-    use rdp_core::legalize::legalize;
+    use rdp_core::legalize::legalize_with_displacement_par;
+    use rdp_geom::parallel::Parallelism;
     let (d, mut pl) = l_shaped_design();
     let a = d.find_node("a").unwrap();
     // Desire the notch: a legal position exists exactly there.
     pl.set_lower_left(&d, a, Point::new(22.0, 10.0));
-    legalize(&d, &mut pl);
+    legalize_with_displacement_par(&d, &mut pl, &Parallelism::single());
     let report = rdp_db::validate::check_legal(&d, &pl, 10);
     assert!(report.is_legal(), "violations: {:?}", report.violations);
     // The cell should not have been pushed far: the notch row segment is

@@ -8,13 +8,13 @@
 //! crate reimplements that protocol against `rdp-route` and drives the
 //! whole experiment matrix of DESIGN.md:
 //!
-//! * [`session`] — [`EvalSession`], the single configuration surface:
-//!   routing, congestion measurement, scoring and place-then-score flows
-//!   all against one held [`rdp_route::RouterConfig`];
-//! * [`score`] — run the router, compute RC and scaled HPWL;
+//! * [`session`] — [`EvalSession`], the one entry point: routing,
+//!   congestion measurement, contest scoring and place-then-score flows
+//!   with per-stage timing, all against one held
+//!   [`rdp_route::RouterConfig`];
+//! * [`score`] — [`ContestScore`], the contest score a session returns;
 //! * [`suite`] — the named benchmark suites (`s1..s8` standard,
 //!   `h1..h4` hierarchical) substituting the contest circuits;
-//! * [`runner`] — place-then-score flows with per-stage timing;
 //! * [`report`] — aligned text tables and CSV emission for
 //!   `target/experiments/`;
 //! * [`cache`] — [`DesignCache`], a shared immutable benchmark cache for
@@ -23,12 +23,12 @@
 //! # Examples
 //!
 //! ```
-//! use rdp_eval::{runner, suite};
+//! use rdp_eval::{suite, EvalSession};
 //! use rdp_core::PlaceOptions;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let bench = suite::build(&suite::tiny_config("t1", 1))?;
-//! let outcome = runner::run_flow(&bench, PlaceOptions::fast())?;
+//! let outcome = EvalSession::new(&bench.design).run_flow_on(&bench, PlaceOptions::fast())?;
 //! println!("scaled HPWL = {:.0}", outcome.score.scaled_hpwl);
 //! # Ok(())
 //! # }
@@ -36,12 +36,10 @@
 
 pub mod cache;
 pub mod report;
-pub mod runner;
 pub mod score;
 pub mod session;
 pub mod suite;
 
 pub use cache::DesignCache;
-pub use runner::{run_flow, run_flow_with, FlowOutcome};
-pub use score::{score_placement, score_placement_with, ContestScore};
-pub use session::EvalSession;
+pub use score::ContestScore;
+pub use session::{EvalSession, FlowOutcome};

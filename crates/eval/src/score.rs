@@ -1,12 +1,7 @@
-//! The DAC-2012 scoring function: route, measure ACE/RC, scale HPWL.
-//!
-//! The scoring logic lives on [`EvalSession`](crate::EvalSession); the
-//! free functions here are the historical entry points, kept as thin
-//! wrappers.
+//! The DAC-2012 contest score: routed HPWL scaled by the RC penalty.
+//! [`EvalSession::score`](crate::EvalSession::score) computes it.
 
-use crate::session::EvalSession;
-use rdp_db::{Design, Placement};
-use rdp_route::{CongestionMetrics, RouterConfig};
+use rdp_route::CongestionMetrics;
 use std::time::Duration;
 
 /// A placement's contest score.
@@ -51,26 +46,9 @@ impl ContestScore {
     }
 }
 
-/// Scores `placement` by routing it with the full negotiation router at
-/// its default settings.
-pub fn score_placement(design: &Design, placement: &Placement) -> ContestScore {
-    EvalSession::new(design).score(placement)
-}
-
-/// Like [`score_placement`], but with an explicit scoring-router
-/// configuration (thread count, iteration budget, cost knobs, layer
-/// mode).
-pub fn score_placement_with(
-    design: &Design,
-    placement: &Placement,
-    router: RouterConfig,
-) -> ContestScore {
-    EvalSession::new(design).with_router_config(router).score(placement)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::EvalSession;
     use rdp_gen::{generate, GeneratorConfig};
 
     #[test]
@@ -96,7 +74,7 @@ mod tests {
                 ),
             );
         }
-        let s = score_placement(&bench.design, &pl);
+        let s = EvalSession::new(&bench.design).score(&pl);
         assert!(s.hpwl > 0.0);
         let expect = s.hpwl * (1.0 + 0.03 * (s.rc - 100.0).max(0.0));
         assert!((s.scaled_hpwl - expect).abs() < 1e-6);
@@ -110,7 +88,7 @@ mod tests {
         cfg.route.tracks_per_edge_h = 100_000.0;
         cfg.route.tracks_per_edge_v = 100_000.0;
         let bench = generate(&cfg).unwrap();
-        let s = score_placement(&bench.design, &bench.placement);
+        let s = EvalSession::new(&bench.design).score(&bench.placement);
         assert!(s.rc < 100.0);
         assert_eq!(s.scaled_hpwl, s.hpwl);
     }

@@ -1,10 +1,8 @@
 //! One configuration surface for everything that routes and scores.
 //!
-//! Before [`EvalSession`], every entry point grew a `_with` twin
-//! (`score_placement_with`, `run_flow_with`, …) and each of them threaded
-//! the same [`RouterConfig`] down by hand. The session owns that
-//! configuration once; route / measure / score / run-flow are then plain
-//! methods. The old free functions survive as thin wrappers.
+//! The session owns the scoring [`RouterConfig`] once; route / measure /
+//! score / run-flow are plain methods on it, so no entry point needs a
+//! `_with` twin that threads the configuration down by hand.
 
 use crate::score::ContestScore;
 use rdp_core::{CongestionSchedule, PlaceError, PlaceOptions, PlaceResult, Placer};
@@ -180,14 +178,10 @@ mod tests {
     use rdp_route::LayerMode;
 
     #[test]
-    fn session_methods_agree_with_free_functions() {
+    fn measure_agrees_with_score() {
         let bench = generate(&GeneratorConfig::tiny("es1", 11)).unwrap();
         let session = EvalSession::new(&bench.design);
         let s = session.score(&bench.placement);
-        let free = crate::score::score_placement(&bench.design, &bench.placement);
-        assert_eq!(s.hpwl.to_bits(), free.hpwl.to_bits());
-        assert_eq!(s.rc.to_bits(), free.rc.to_bits());
-        assert_eq!(s.scaled_hpwl.to_bits(), free.scaled_hpwl.to_bits());
         let m = session.measure(&bench.placement);
         assert_eq!(m.rc.to_bits(), s.congestion.rc.to_bits());
     }
@@ -209,7 +203,29 @@ mod tests {
         let session = EvalSession::new(&bench.design).with_legality_spot_checks(8);
         let out = session.run_flow_on(&bench, PlaceOptions::fast()).unwrap();
         assert!(out.legality.is_legal(), "violations: {:?}", out.legality.violations);
+        assert!(out.score.scaled_hpwl >= out.score.hpwl * 0.999);
         assert!(out.place_time.as_nanos() > 0);
+    }
+
+    #[test]
+    fn routability_mode_beats_wirelength_mode_on_rc() {
+        // The headline claim (experiment T2's shape): the routability-driven
+        // flow yields lower RC than the wirelength-driven baseline on a
+        // supply-tight design.
+        let mut cfg = GeneratorConfig::tiny("flr", 10);
+        cfg.route.tracks_per_edge_h = 18.0;
+        cfg.route.tracks_per_edge_v = 18.0;
+        let bench = generate(&cfg).unwrap();
+        let session = EvalSession::new(&bench.design);
+        let full = session.run_flow_on(&bench, PlaceOptions::fast()).unwrap();
+        let wl_only =
+            session.run_flow_on(&bench, PlaceOptions::fast().wirelength_driven()).unwrap();
+        assert!(
+            full.score.rc <= wl_only.score.rc + 3.0,
+            "routability flow rc {} much worse than baseline {}",
+            full.score.rc,
+            wl_only.score.rc
+        );
     }
 
     #[test]

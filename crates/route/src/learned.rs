@@ -478,19 +478,6 @@ pub fn predict_into(
     }
 }
 
-/// [`predict_into`] on a freshly built (projected) grid for
-/// `design`/`placement`.
-pub fn predict_congestion_par(
-    design: &Design,
-    placement: &Placement,
-    weights: &EstimatorWeights,
-    par: &Parallelism,
-) -> RouteGrid {
-    let mut grid = RouteGrid::from_design(design, placement);
-    predict_into(&mut grid, design, placement, weights, par);
-    grid
-}
-
 /// Spearman rank correlation of two equal-length series, with tie-
 /// averaged ranks. Returns 0.0 when either series has zero rank variance
 /// (fewer than two distinct values) — "no information", not an error.

@@ -54,35 +54,3 @@ pub use pattern::EdgeCosts;
 pub use router::{
     GlobalRouter, LayerMode, RoutedSegment, RouterConfig, RouterConfigBuilder, RoutingOutcome,
 };
-
-/// Routes `design`/`placement` with default settings and returns only the
-/// congestion metrics — the common one-liner for scoring.
-///
-/// # Examples
-///
-/// ```
-/// # use rdp_gen::{generate, GeneratorConfig};
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let bench = generate(&GeneratorConfig::tiny("q", 2))?;
-/// let m = rdp_route::route_and_measure(&bench.design, &bench.placement);
-/// assert!(m.rc >= 0.0);
-/// # Ok(())
-/// # }
-/// ```
-pub fn route_and_measure(
-    design: &rdp_db::Design,
-    placement: &rdp_db::Placement,
-) -> CongestionMetrics {
-    route_and_measure_with(design, placement, RouterConfig::default())
-}
-
-/// Like [`route_and_measure`], but with an explicit [`RouterConfig`] —
-/// for callers that need to pin thread count, iteration budget, or cost
-/// parameters (the eval runner threads its own config through here).
-pub fn route_and_measure_with(
-    design: &rdp_db::Design,
-    placement: &rdp_db::Placement,
-    config: RouterConfig,
-) -> CongestionMetrics {
-    GlobalRouter::new(config).route(design, placement).metrics
-}

@@ -29,7 +29,7 @@
 //! searches that precede the full one.
 
 use crate::grid::{EdgeId, GCell, RouteGrid};
-use crate::pattern::{CostParams, EdgeCosts};
+use crate::pattern::EdgeCosts;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -288,20 +288,6 @@ fn reconstruct(grid: &RouteGrid, from: GCell, to: GCell, scratch: &MazeScratch) 
     edges
 }
 
-/// Finds the cheapest path from `from` to `to` under the **live** grid
-/// costs. Returns its edges in order; empty when `from == to`.
-///
-/// Convenience wrapper over [`search`] that snapshots the costs and
-/// allocates a scratch per call — fine for one-off queries and tests; the
-/// negotiation loop uses the reusable pieces directly.
-pub fn route_maze(grid: &RouteGrid, from: GCell, to: GCell, params: CostParams) -> Vec<EdgeId> {
-    if from == to {
-        return Vec::new();
-    }
-    let costs = EdgeCosts::build(grid, params);
-    search(grid, &costs, from, to, &mut MazeScratch::new())
-}
-
 /// Layered counterpart of [`search`]: cheapest path between two layer-0
 /// endpoints by canonical A\* over the whole 3-D grid (planar edges on
 /// their layers, via edges between). States are `(layer, x, y)` with flat
@@ -429,36 +415,37 @@ fn reconstruct3(grid: &RouteGrid, from: GCell, to: GCell, scratch: &MazeScratch)
     edges
 }
 
-/// One-off layered maze query under the live grid costs (own scratch) —
-/// the 3-D analogue of [`route_maze`].
-pub fn route_maze3(grid: &RouteGrid, from: GCell, to: GCell, params: CostParams) -> Vec<EdgeId> {
-    if from == to {
-        return Vec::new();
-    }
-    let costs = EdgeCosts::build(grid, params);
-    search3(grid, &costs, from, to, &mut MazeScratch::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::CostParams;
     use rdp_geom::Point;
 
     fn grid() -> RouteGrid {
         RouteGrid::uniform(10, 10, Point::ORIGIN, 1.0, 1.0, 4.0, 4.0)
     }
 
+    /// One 2-D query under the live grid costs with a fresh scratch.
+    fn route(g: &RouteGrid, from: GCell, to: GCell, params: CostParams) -> Vec<EdgeId> {
+        search(g, &EdgeCosts::build(g, params), from, to, &mut MazeScratch::new())
+    }
+
+    /// One layered query under the live grid costs with a fresh scratch.
+    fn route3(g: &RouteGrid, from: GCell, to: GCell, params: CostParams) -> Vec<EdgeId> {
+        search3(g, &EdgeCosts::build(g, params), from, to, &mut MazeScratch::new())
+    }
+
     #[test]
     fn shortest_path_on_empty_grid() {
         let g = grid();
-        let path = route_maze(&g, GCell::new(0, 0), GCell::new(4, 3), CostParams::default());
+        let path = route(&g, GCell::new(0, 0), GCell::new(4, 3), CostParams::default());
         assert_eq!(path.len(), 7, "empty grid gives Manhattan-length path");
     }
 
     #[test]
     fn same_cell_is_empty() {
         let g = grid();
-        assert!(route_maze(&g, GCell::new(5, 5), GCell::new(5, 5), CostParams::default()).is_empty());
+        assert!(route(&g, GCell::new(5, 5), GCell::new(5, 5), CostParams::default()).is_empty());
     }
 
     #[test]
@@ -468,7 +455,7 @@ mod tests {
         for y in 0..9 {
             g.add_usage(g.h_edge(4, y), 100.0);
         }
-        let path = route_maze(&g, GCell::new(0, 0), GCell::new(9, 0), CostParams::default());
+        let path = route(&g, GCell::new(0, 0), GCell::new(9, 0), CostParams::default());
         // Must detour: longer than Manhattan distance.
         assert!(path.len() > 9, "path length {} should detour", path.len());
         // Uses the uncongested top corridor: contains the h-edge at y=9.
@@ -486,7 +473,7 @@ mod tests {
         }
         let from = GCell::new(1, 1);
         let to = GCell::new(8, 8);
-        let path = route_maze(&g, from, to, CostParams::default());
+        let path = route(&g, from, to, CostParams::default());
         // Walk the path: each edge must connect the running endpoint.
         let mut cur = from;
         for &e in &path {
@@ -514,7 +501,7 @@ mod tests {
         for x in 0..9 {
             g.add_history(g.h_edge(x, 0), 10.0);
         }
-        let path = route_maze(&g, GCell::new(0, 0), GCell::new(9, 0), CostParams::default());
+        let path = route(&g, GCell::new(0, 0), GCell::new(9, 0), CostParams::default());
         let bottom_edges = path.iter().filter(|&&e| e == g.h_edge(4, 0)).count();
         assert_eq!(bottom_edges, 0, "history-poisoned corridor avoided");
     }
@@ -561,7 +548,7 @@ mod tests {
     #[test]
     fn maze3_vertical_route_climbs_and_drops() {
         let g = grid3();
-        let path = route_maze3(&g, GCell::new(2, 0), GCell::new(2, 4), CostParams::default());
+        let path = route3(&g, GCell::new(2, 0), GCell::new(2, 4), CostParams::default());
         let vias = path.iter().filter(|&&e| g.is_via(e)).count();
         let planar = path.len() - vias;
         assert_eq!(planar, 4, "planar part stays at Manhattan length");
@@ -590,7 +577,7 @@ mod tests {
         let params = CostParams::default();
         let from = GCell::new(0, 0);
         let to = GCell::new(5, 5);
-        let path = route_maze3(&g, from, to, params);
+        let path = route3(&g, from, to, params);
 
         // Independent oracle: plain Dijkstra over the explicit 3-D graph.
         let (nx, ny, nl) = (6u32, 6u32, 4u32);
@@ -644,7 +631,7 @@ mod tests {
         for x in 0..5 {
             g.add_usage(g.h_edge_on(0, x, 0), 100.0);
         }
-        let path = route_maze3(&g, GCell::new(0, 0), GCell::new(5, 0), CostParams::default());
+        let path = route3(&g, GCell::new(0, 0), GCell::new(5, 0), CostParams::default());
         assert!(!path.is_empty());
         assert!(path.iter().all(|&e| (0..5).all(|x| e != g.h_edge_on(0, x, 0))));
         assert!(path.iter().any(|&e| g.is_via(e)), "leaving layer 0 takes vias");
@@ -669,7 +656,7 @@ mod tests {
     #[test]
     fn maze3_same_cell_is_empty() {
         let g = grid3();
-        assert!(route_maze3(&g, GCell::new(3, 3), GCell::new(3, 3), CostParams::default()).is_empty());
+        assert!(route3(&g, GCell::new(3, 3), GCell::new(3, 3), CostParams::default()).is_empty());
     }
 
     #[test]

@@ -468,8 +468,8 @@ fn route_runs3(grid: &RouteGrid, runs: &[Run], params: CostParams) -> Option<(f6
 
 /// Layered counterpart of [`route_pattern`]: the same candidate family
 /// (both Ls, quartile Zs in both orientations) evaluated on the 3-D grid,
-/// with each candidate's layer assignment solved exactly by
-/// [`route_runs3`]. Pins are taken at layer 0, so the returned path
+/// with each candidate's layer assignment solved exactly by a dynamic
+/// program over the runs' carrier layers. Pins are taken at layer 0, so the returned path
 /// includes the endpoint via climbs. Deterministic: candidates are tried
 /// in a fixed order and only a strictly cheaper one replaces the best.
 pub fn route_pattern3(grid: &RouteGrid, seg: Segment, params: CostParams) -> Vec<EdgeId> {
@@ -506,35 +506,23 @@ pub fn route_pattern3(grid: &RouteGrid, seg: Segment, params: CostParams) -> Vec
     best.map(|(_, e)| e).unwrap_or_default()
 }
 
-/// Probabilistic congestion estimation: every net is MST-decomposed and
-/// each segment deposits half a track on each of its two L patterns, using
-/// up to `par` worker threads.
+/// Probabilistic congestion estimation into `grid`: clears the usage, then
+/// every net is MST-decomposed against the current `placement` and each
+/// segment deposits half a track on each of its two L patterns, using up
+/// to `par` worker threads.
 ///
 /// The L geometry depends only on gcell coordinates — never on the usage
 /// being accumulated — so chunks of nets are routed against the immutable
-/// freshly-built grid in parallel and their `(edge, weight)` deposits are
-/// merged **in net order**, making the result bitwise identical at every
-/// thread count.
-///
-/// Returns the grid with the estimated usage — `O(pins)` and allocation-
-/// light, suitable for calling inside the placer's inflation loop.
-pub fn estimate_congestion_par(
-    design: &Design,
-    placement: &Placement,
-    par: &Parallelism,
-) -> RouteGrid {
-    let mut grid = RouteGrid::from_design(design, placement);
-    estimate_congestion_into(&mut grid, design, placement, par);
-    grid
-}
-
-/// [`estimate_congestion_par`] into an existing grid: clears the usage and
-/// re-deposits against the current `placement`.
+/// grid in parallel and their `(edge, weight)` deposits are merged **in
+/// net order**, making the result bitwise identical at every thread count.
+/// `O(pins)` and allocation-light, suitable for the placer's inflation
+/// loop.
 ///
 /// Capacities depend only on fixed-node blockages, which never move during
-/// placement, so the inflation loop builds the grid **once** and refreshes
-/// it here every round instead of re-carving blockages each time. Produces
-/// bitwise the same usage as a freshly built grid with equal capacities.
+/// placement, so the inflation loop builds the grid **once**
+/// ([`RouteGrid::from_design`]) and refreshes it here every round instead
+/// of re-carving blockages each time. Produces bitwise the same usage as a
+/// freshly built grid with equal capacities.
 pub fn estimate_congestion_into(
     grid: &mut RouteGrid,
     design: &Design,
@@ -573,12 +561,6 @@ pub fn estimate_congestion_into(
             grid.add_usage(e, w);
         }
     }
-}
-
-/// Single-threaded [`estimate_congestion_par`] (the historical entry
-/// point).
-pub fn estimate_congestion(design: &Design, placement: &Placement) -> RouteGrid {
-    estimate_congestion_par(design, placement, &Parallelism::single())
 }
 
 #[cfg(test)]
@@ -639,7 +621,8 @@ mod tests {
     fn estimator_conserves_expected_usage() {
         use rdp_gen::{generate, GeneratorConfig};
         let bench = generate(&GeneratorConfig::tiny("est", 5)).unwrap();
-        let g = estimate_congestion(&bench.design, &bench.placement);
+        let mut g = RouteGrid::from_design(&bench.design, &bench.placement);
+        estimate_congestion_into(&mut g, &bench.design, &bench.placement, &Parallelism::single());
         let total_usage: f64 = g.edge_ids().map(|e| g.usage(e)).sum();
         // Expected: sum over all segments of their Manhattan length (each
         // length unit deposits exactly 1.0 across the two Ls).

@@ -9,10 +9,22 @@ use rdp_geom::parallel::Parallelism;
 use rdp_geom::rng::Rng;
 use rdp_geom::{Point, Rect};
 use rdp_route::learned::{
-    collect_samples, extract_features, predict_congestion_par, rank_correlation, train_estimator,
+    collect_samples, extract_features, predict_into, rank_correlation, train_estimator,
     EstimatorWeights, TrainConfig, NUM_FEATURES,
 };
 use rdp_route::{GlobalRouter, RouteGrid, RouterConfig};
+
+/// The learned prediction on a freshly built grid for `design`/`placement`.
+fn predict(
+    design: &rdp_db::Design,
+    placement: &Placement,
+    weights: &EstimatorWeights,
+    par: &Parallelism,
+) -> RouteGrid {
+    let mut grid = RouteGrid::from_design(design, placement);
+    predict_into(&mut grid, design, placement, weights, par);
+    grid
+}
 
 /// Fingerprint of a grid's full usage state (planar + via), bit-exact.
 fn usage_fingerprint(grid: &RouteGrid) -> u64 {
@@ -33,7 +45,7 @@ fn prediction_is_bitwise_identical_across_thread_counts() {
         .map(|&threads| {
             let par = Parallelism::new(threads);
             let grid =
-                predict_congestion_par(&bench.design, &bench.placement, weights, &par);
+                predict(&bench.design, &bench.placement, weights, &par);
             usage_fingerprint(&grid)
         })
         .collect();
@@ -46,7 +58,7 @@ fn prediction_deposits_nonnegative_planar_usage() {
     let bench = generate(&GeneratorConfig::tiny("ltp", 9)).unwrap();
     let par = Parallelism::single();
     let grid =
-        predict_congestion_par(&bench.design, &bench.placement, EstimatorWeights::builtin(), &par);
+        predict(&bench.design, &bench.placement, EstimatorWeights::builtin(), &par);
     let mut total = 0.0;
     for e in grid.edge_ids() {
         let u = grid.usage(e);
@@ -146,7 +158,7 @@ fn feature_extraction_survives_zero_nets() {
     assert!(features.util.iter().sum::<f64>() > 0.0, "cells still utilize area");
     // Prediction must not panic either.
     let predicted =
-        predict_congestion_par(&design, &placement, EstimatorWeights::builtin(), &par);
+        predict(&design, &placement, EstimatorWeights::builtin(), &par);
     assert!(predicted.edge_ids().all(|e| predicted.usage(e).is_finite()));
 }
 
@@ -211,7 +223,7 @@ mod properties {
             let design = b.finish().unwrap();
             let placement = Placement::new_centered(&design);
             let par = Parallelism::new(2);
-            let grid = predict_congestion_par(
+            let grid = predict(
                 &design,
                 &placement,
                 EstimatorWeights::builtin(),

@@ -82,7 +82,8 @@ fn maze_path_cost_is_optimal() {
         let from = GCell::new(rng.gen_range(0u32..6), rng.gen_range(0u32..6));
         let to = GCell::new(rng.gen_range(0u32..6), rng.gen_range(0u32..6));
         let params = CostParams::default();
-        let path = maze::route_maze(&grid, from, to, params);
+        let path =
+            maze::search(&grid, &EdgeCosts::build(&grid, params), from, to, &mut MazeScratch::new());
         let path_cost: f64 = path.iter().map(|&e| edge_cost(&grid, e, params)).sum();
         let optimal = bellman_ford_cost(&grid, from, to, params);
         if from == to {

@@ -6,7 +6,7 @@
 //! Run: `cargo run --release --example contest_flow`
 
 use rdp::db::bookshelf;
-use rdp::eval::score_placement;
+use rdp::eval::EvalSession;
 use rdp::gen::{generate, GeneratorConfig};
 use rdp::place::{PlaceOptions, Placer};
 
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("solution at {}", out.join("contest.pl").display());
 
     // 5. Official-style scoring.
-    let score = score_placement(&design, &result.placement);
+    let score = EvalSession::new(&design).score(&result.placement);
     println!(
         "HPWL {:.0}   RC {:.1}%   scaled HPWL {:.0}   (routed in {:.2}s)",
         score.hpwl,

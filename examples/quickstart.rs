@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use rdp::eval::score_placement;
+use rdp::eval::EvalSession;
 use rdp::gen::{generate, GeneratorConfig};
 use rdp::place::{PlaceOptions, Placer};
 
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Score with the DAC-2012 protocol: global-route, ACE/RC, scaled HPWL.
-    let score = score_placement(&bench.design, &result.placement);
+    let score = EvalSession::new(&bench.design).score(&result.placement);
     println!(
         "RC = {:.1}%  (ACE {:.0}/{:.0}/{:.0}/{:.0})  scaled HPWL = {:.0}",
         score.rc,

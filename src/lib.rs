@@ -16,7 +16,7 @@
 //! | [`gen`]     | `rdp-gen`   | synthetic benchmark generator            |
 //! | [`route`]   | `rdp-route` | global router, ACE/RC congestion metrics |
 //! | [`place`]   | `rdp-core`  | the placer (the paper's contribution)    |
-//! | [`eval`]    | `rdp-eval`  | DAC-2012 scoring, flow runner, reports   |
+//! | [`eval`]    | `rdp-eval`  | DAC-2012 scoring sessions, reports       |
 //! | [`serve`]   | `rdp-serve` | hardened place-as-a-service job server   |
 //!
 //! # Quickstart

@@ -2,12 +2,17 @@
 //! placer and the router must produce **bitwise identical** results at
 //! every thread count (1, 2, 8; the kernel-level cases also 4). The
 //! chunked kernels merge their partial results in a canonical order
-//! precisely so this holds — these tests are the contract.
+//! precisely so this holds — these tests are the contract. The 100k-cell
+//! case also checks the fused bell pass against the pre-layout-refactor
+//! oracle in `crates/core/tests/reference/`.
 
 use rdp::gen::{generate, GeneratorConfig};
 use rdp::geom::parallel::Parallelism;
 use rdp::place::{PlaceOptions, Placer};
 use rdp::route::{GlobalRouter, RouterConfig};
+
+#[path = "../crates/core/tests/reference/mod.rs"]
+mod reference;
 
 #[test]
 fn placer_is_bitwise_identical_across_thread_counts() {
@@ -137,20 +142,23 @@ fn router_is_bitwise_identical_across_thread_counts() {
     }
 }
 
-/// Kernel-level invariance at production scale: the wirelength, bell and
-/// electrostatic density gradient kernels on a 100k-cell design must be
-/// bitwise identical at 1, 2, 4 and 8 threads, and the fused wirelength +
-/// bell pass must equal the separate kernels bit for bit. Too slow for the
+/// Kernel-level invariance at production scale: the two fused gradient
+/// passes production runs (wirelength + bell, wirelength +
+/// electrostatics) on a 100k-cell design must be bitwise identical at 1,
+/// 2, 4 and 8 threads, and the bell pass must equal the independent
+/// pre-layout-refactor oracle (`reference`) bit for bit. Too slow for the
 /// debug-build default gate — run in release via `ci.sh --full`
 /// (`cargo test --release -- --ignored`).
 #[test]
 #[ignore = "100k-cell release-build case; run via ci.sh --full"]
 fn kernels_are_bitwise_identical_across_thread_counts_at_100k_cells() {
+    use rdp::geom::Point;
     use rdp::place::density::build_fields;
     use rdp::place::electrostatics::build_electro_fields;
-    use rdp::place::fused::fused_wl_den_grad;
+    use rdp::place::fused::{fused_wl_den_grad, fused_wl_electro_grad};
     use rdp::place::model::Model;
-    use rdp::place::wirelength::{smooth_wl_grad_par, WirelengthModel, WlScratch};
+    use rdp::place::wirelength::{WirelengthModel, WlScratch};
+    use reference::{ref_smooth_wl_grad_par, RefDensityField, RefModel};
 
     let mut cfg = GeneratorConfig::large("det-100k", 80);
     cfg.num_cells = 100_000;
@@ -166,44 +174,36 @@ fn kernels_are_bitwise_identical_across_thread_counts_at_100k_cells() {
         let par = Parallelism::new(threads);
         let zeros = || vec![0.0; model.len()];
         let (mut gx, mut gy, mut dx, mut dy) = (zeros(), zeros(), zeros(), zeros());
-        let wl = smooth_wl_grad_par(
-            &model,
-            WirelengthModel::Wa,
-            20.0,
-            &mut gx,
-            &mut gy,
-            &mut scratch,
-            &par,
-        );
-        let stats = fields[0].penalty_grad_par(&model, &mut dx, &mut dy, &par);
-
-        let (mut fgx, mut fgy, mut fdx, mut fdy) = (zeros(), zeros(), zeros(), zeros());
-        let (fused_wl, fused_stats) = fused_wl_den_grad(
+        let (wl, stats) = fused_wl_den_grad(
             &model,
             WirelengthModel::Wa,
             20.0,
             &mut fields,
             &mut scratch,
-            &mut fgx,
-            &mut fgy,
-            &mut fdx,
-            &mut fdy,
+            &mut gx,
+            &mut gy,
+            &mut dx,
+            &mut dy,
             &par,
         );
-        assert_eq!(
-            (fused_wl.to_bits(), fused_stats.penalty.to_bits()),
-            (wl.to_bits(), stats.penalty.to_bits()),
-            "fused totals differ from the separate kernels at {threads} threads"
+        let (mut ewx, mut ewy, mut ex, mut ey) = (zeros(), zeros(), zeros(), zeros());
+        let (ewl, estats) = fused_wl_electro_grad(
+            &model,
+            WirelengthModel::Wa,
+            20.0,
+            &mut electro,
+            &mut scratch,
+            &mut ewx,
+            &mut ewy,
+            &mut ex,
+            &mut ey,
+            &par,
         );
         assert!(
-            [(&fgx, &gx), (&fgy, &gy), (&fdx, &dx), (&fdy, &dy)]
-                .iter()
-                .all(|(f, r)| bits(f) == bits(r)),
-            "fused gradient differs from the separate kernels at {threads} threads"
+            ewl.to_bits() == wl.to_bits() && bits(&ewx) == bits(&gx) && bits(&ewy) == bits(&gy),
+            "the two fused passes disagree on the wirelength at {threads} threads"
         );
-
-        let estats = electro[0].penalty_grad_par(&model, &mut dx, &mut dy, &par);
-        let grads = [&gx, &gy, &dx, &dy].map(|g| bits(g));
+        let grads = [&gx, &gy, &dx, &dy, &ex, &ey].map(|g| bits(g));
         (wl.to_bits(), stats.penalty.to_bits(), estats.penalty.to_bits(), grads)
     };
 
@@ -215,22 +215,47 @@ fn kernels_are_bitwise_identical_across_thread_counts_at_100k_cells() {
         assert_eq!(base.2, r.2, "electrostatic penalty differs at {threads} threads");
         assert_eq!(base.3, r.3, "a gradient component differs at {threads} threads");
     }
+
+    // The bell pass against the independent oracle.
+    let ref_model = RefModel::from_model(&model);
+    assert_eq!(ref_model.hpwl().to_bits(), model.hpwl().to_bits(), "HPWL differs from reference");
+    let single = Parallelism::single();
+    let mut ref_wl_grad = vec![Point::ORIGIN; model.len()];
+    let ref_wl =
+        ref_smooth_wl_grad_par(&ref_model, WirelengthModel::Wa, 20.0, &mut ref_wl_grad, &single);
+    let mut ref_den_grad = vec![Point::ORIGIN; model.len()];
+    let ref_stats = RefDensityField::from_field(&fields[0]).penalty_grad_par(
+        &ref_model,
+        &mut ref_den_grad,
+        &single,
+    );
+    let axis = |g: &[Point], x: bool| -> Vec<u64> {
+        g.iter().map(|p| if x { p.x.to_bits() } else { p.y.to_bits() }).collect()
+    };
+    assert_eq!(base.0, ref_wl.to_bits(), "wirelength total differs from reference");
+    assert_eq!(base.1, ref_stats.penalty.to_bits(), "density penalty differs from reference");
+    assert!(
+        base.3[0] == axis(&ref_wl_grad, true) && base.3[1] == axis(&ref_wl_grad, false),
+        "wirelength gradient differs from reference"
+    );
+    assert!(
+        base.3[2] == axis(&ref_den_grad, true) && base.3[3] == axis(&ref_den_grad, false),
+        "density gradient differs from reference"
+    );
 }
 
 #[test]
 fn congestion_estimator_is_bitwise_identical_across_thread_counts() {
     let bench = generate(&GeneratorConfig::tiny("det-est", 79)).unwrap();
-    let base = rdp::route::pattern::estimate_congestion_par(
-        &bench.design,
-        &bench.placement,
-        &Parallelism::single(),
-    );
+    let (design, placement) = (&bench.design, &bench.placement);
+    let estimate = |par: &Parallelism| {
+        let mut grid = rdp::route::RouteGrid::from_design(design, placement);
+        rdp::route::pattern::estimate_congestion_into(&mut grid, design, placement, par);
+        grid
+    };
+    let base = estimate(&Parallelism::single());
     for threads in [2, 4, 8] {
-        let g = rdp::route::pattern::estimate_congestion_par(
-            &bench.design,
-            &bench.placement,
-            &Parallelism::new(threads),
-        );
+        let g = estimate(&Parallelism::new(threads));
         for (a, b) in base.edge_ids().zip(g.edge_ids()) {
             assert_eq!(
                 base.usage(a).to_bits(),
@@ -250,8 +275,9 @@ fn congestion_estimator_is_bitwise_identical_across_thread_counts() {
 fn reused_pool_matches_fresh_pool_bitwise() {
     use rdp::place::density::build_fields;
     use rdp::place::electrostatics::build_electro_fields;
+    use rdp::place::fused::{fused_wl_den_grad, fused_wl_electro_grad};
     use rdp::place::model::Model;
-    use rdp::place::wirelength::{smooth_wl_grad_par, WirelengthModel, WlScratch};
+    use rdp::place::wirelength::{WirelengthModel, WlScratch};
 
     let bench = generate(&GeneratorConfig::tiny("det-pool", 81)).unwrap();
     let model = Model::from_design(&bench.design, &bench.placement);
@@ -260,23 +286,39 @@ fn reused_pool_matches_fresh_pool_bitwise() {
     let mut electro = build_electro_fields(&model, &[], &[], bins, 0.9);
     let mut scratch = WlScratch::new();
 
+    // Both fused passes accumulate into the same buffers, in sequence.
     let mut sequence = |par: &Parallelism| {
-        let mut gx = vec![0.0; model.len()];
-        let mut gy = vec![0.0; model.len()];
-        let wl = smooth_wl_grad_par(
+        let zeros = || vec![0.0; model.len()];
+        let (mut gx, mut gy, mut dx, mut dy) = (zeros(), zeros(), zeros(), zeros());
+        let (wl, stats) = fused_wl_den_grad(
             &model,
             WirelengthModel::Wa,
             20.0,
+            &mut fields,
+            &mut scratch,
             &mut gx,
             &mut gy,
-            &mut scratch,
+            &mut dx,
+            &mut dy,
             par,
         );
-        let stats = fields[0].penalty_grad_par(&model, &mut gx, &mut gy, par);
-        let estats = electro[0].penalty_grad_par(&model, &mut gx, &mut gy, par);
-        let bits: Vec<(u64, u64)> =
-            gx.iter().zip(&gy).map(|(x, y)| (x.to_bits(), y.to_bits())).collect();
-        (wl.to_bits(), stats.penalty.to_bits(), estats.penalty.to_bits(), bits)
+        let (ewl, estats) = fused_wl_electro_grad(
+            &model,
+            WirelengthModel::Wa,
+            20.0,
+            &mut electro,
+            &mut scratch,
+            &mut gx,
+            &mut gy,
+            &mut dx,
+            &mut dy,
+            par,
+        );
+        let bits: Vec<[u64; 4]> = (0..model.len())
+            .map(|i| [gx[i], gy[i], dx[i], dy[i]].map(f64::to_bits))
+            .collect();
+        let totals = [wl, ewl, stats.penalty, estats.penalty].map(f64::to_bits);
+        (totals, bits)
     };
 
     let single = sequence(&Parallelism::single());

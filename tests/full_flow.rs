@@ -2,14 +2,14 @@
 //! legalize → route → score, plus persistence through Bookshelf.
 
 use rdp::db::validate::check_legal;
-use rdp::eval::{run_flow, score_placement};
+use rdp::eval::EvalSession;
 use rdp::gen::{generate, GeneratorConfig};
 use rdp::place::{PlaceOptions, Placer};
 
 #[test]
 fn generate_place_route_score_pipeline() {
     let bench = generate(&GeneratorConfig::tiny("it1", 1)).unwrap();
-    let out = run_flow(&bench, PlaceOptions::fast()).unwrap();
+    let out = EvalSession::new(&bench.design).run_flow_on(&bench, PlaceOptions::fast()).unwrap();
     assert!(out.legality.is_legal(), "violations: {:?}", out.legality.violations);
     assert!(out.score.hpwl > 0.0);
     assert!(out.score.scaled_hpwl >= out.score.hpwl);
@@ -33,9 +33,9 @@ fn placement_improves_both_hpwl_and_congestion_over_scatter() {
             rdp::geom::Point::new(rng.gen_range(die.xl..die.xh), rng.gen_range(die.yl..die.yh)),
         );
     }
-    let scatter_score = score_placement(&bench.design, &scatter);
+    let scatter_score = EvalSession::new(&bench.design).score(&scatter);
 
-    let out = run_flow(&bench, PlaceOptions::fast()).unwrap();
+    let out = EvalSession::new(&bench.design).run_flow_on(&bench, PlaceOptions::fast()).unwrap();
     assert!(
         out.score.hpwl < scatter_score.hpwl,
         "placed HPWL {} vs scatter {}",
@@ -53,7 +53,7 @@ fn placement_improves_both_hpwl_and_congestion_over_scatter() {
 #[test]
 fn hierarchical_design_flows_end_to_end() {
     let bench = generate(&GeneratorConfig::hierarchical("it3", 3, 2)).unwrap();
-    let out = run_flow(&bench, PlaceOptions::fast()).unwrap();
+    let out = EvalSession::new(&bench.design).run_flow_on(&bench, PlaceOptions::fast()).unwrap();
     assert!(out.legality.is_legal());
     assert_eq!(out.legality.fence_violations, 0);
     // Every fenced cell's final center is inside its fence.
@@ -87,16 +87,17 @@ fn placed_design_survives_bookshelf_round_trip() {
     let report = check_legal(&d2, &pl2, 10);
     assert!(report.is_legal(), "round-trip broke legality: {:?}", report.violations);
     // Scoring the reloaded design gives identical congestion.
-    let s1 = score_placement(&bench.design, &result.placement);
-    let s2 = score_placement(&d2, &pl2);
+    let s1 = EvalSession::new(&bench.design).score(&result.placement);
+    let s2 = EvalSession::new(&d2).score(&pl2);
     assert!((s1.rc - s2.rc).abs() < 1e-6);
 }
 
 #[test]
 fn whole_pipeline_is_deterministic() {
     let bench = generate(&GeneratorConfig::tiny("it5", 5)).unwrap();
-    let a = run_flow(&bench, PlaceOptions::fast()).unwrap();
-    let b = run_flow(&bench, PlaceOptions::fast()).unwrap();
+    let session = EvalSession::new(&bench.design);
+    let a = session.run_flow_on(&bench, PlaceOptions::fast()).unwrap();
+    let b = session.run_flow_on(&bench, PlaceOptions::fast()).unwrap();
     assert_eq!(a.score.hpwl, b.score.hpwl);
     assert_eq!(a.score.rc, b.score.rc);
     assert_eq!(a.score.scaled_hpwl, b.score.scaled_hpwl);
@@ -105,6 +106,7 @@ fn whole_pipeline_is_deterministic() {
 #[test]
 fn all_baseline_configurations_complete() {
     let bench = generate(&GeneratorConfig::hierarchical("it6", 6, 2)).unwrap();
+    let session = EvalSession::new(&bench.design);
     for options in [
         PlaceOptions::fast(),
         PlaceOptions::fast().wirelength_driven(),
@@ -114,7 +116,7 @@ fn all_baseline_configurations_complete() {
         PlaceOptions::fast().with_wirelength(rdp::place::WirelengthModel::Lse),
         PlaceOptions::fast().with_net_weighting_only(),
     ] {
-        let out = run_flow(&bench, options.clone()).unwrap();
+        let out = session.run_flow_on(&bench, options.clone()).unwrap();
         assert!(
             out.legality.is_legal(),
             "config {options:?} produced illegal placement: {:?}",

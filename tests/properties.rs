@@ -61,8 +61,10 @@ fn hpwl_is_invariant_under_pin_order() {
 
 #[test]
 fn smooth_models_bracket_hpwl() {
+    use rdp::geom::parallel::Parallelism;
+    use rdp::place::fused::fused_wl_den_grad;
     use rdp::place::model::{Model, ModelNet, ModelPin};
-    use rdp::place::wirelength::{smooth_wl, WirelengthModel};
+    use rdp::place::wirelength::{WirelengthModel, WlScratch};
     for case in 0..CASES {
         let mut rng = rng_for(2, case);
         let xs = random_positions(&mut rng, 5);
@@ -82,8 +84,25 @@ fn smooth_models_bracket_hpwl() {
             vec![],
         );
         let hpwl = model.hpwl();
-        let lse = smooth_wl(&model, WirelengthModel::Lse, gamma);
-        let wa = smooth_wl(&model, WirelengthModel::Wa, gamma);
+        let smooth = |which| {
+            let zeros = || vec![0.0; n];
+            let (mut gx, mut gy, mut dx, mut dy) = (zeros(), zeros(), zeros(), zeros());
+            let (wl, _) = fused_wl_den_grad(
+                &model,
+                which,
+                gamma,
+                &mut [],
+                &mut WlScratch::new(),
+                &mut gx,
+                &mut gy,
+                &mut dx,
+                &mut dy,
+                &Parallelism::single(),
+            );
+            wl
+        };
+        let lse = smooth(WirelengthModel::Lse);
+        let wa = smooth(WirelengthModel::Wa);
         assert!(lse >= hpwl - 1e-6, "case {case}: LSE {lse} < HPWL {hpwl}");
         assert!(wa <= hpwl + 1e-6, "case {case}: WA {wa} > HPWL {hpwl}");
         assert!(lse.is_finite() && wa.is_finite());
@@ -172,7 +191,7 @@ fn mst_length_at_most_chain_and_spans() {
 
 #[test]
 fn abacus_packs_any_assignment_legally() {
-    use rdp::place::legalize::{pack_segment, Segment};
+    use rdp::place::legalize::{pack_positions, Segment};
     for case in 0..CASES {
         let mut rng = rng_for(7, case);
         let n = rng.gen_range(1usize..12);
@@ -199,14 +218,16 @@ fn abacus_packs_any_assignment_legally() {
         for (i, &x) in desired.iter().enumerate() {
             pl.set_lower_left(&d, ids[i], Point::new(x, 0.0));
         }
-        let mut seg = Segment {
+        let seg = Segment {
             row: 0,
             interval: Interval::new(0.0, 100.0),
             region: None,
             used: total_w,
             cells: ids.clone(),
         };
-        pack_segment(&d, &mut pl, &mut seg);
+        for (id, p) in pack_positions(&d, &pl, &seg) {
+            pl.set_lower_left(&d, id, p);
+        }
         // Legal: inside segment, site aligned, no overlap.
         let mut rects: Vec<Rect> = ids.iter().map(|&id| pl.rect(&d, id)).collect();
         rects.sort_by(|a, b| a.xl.partial_cmp(&b.xl).unwrap());
@@ -222,8 +243,11 @@ fn abacus_packs_any_assignment_legally() {
 
 #[test]
 fn bell_density_conserves_mass_anywhere() {
+    use rdp::geom::parallel::Parallelism;
     use rdp::place::density::{BinGrid, DensityField};
+    use rdp::place::fused::fused_wl_den_grad;
     use rdp::place::model::Model;
+    use rdp::place::wirelength::{WirelengthModel, WlScratch};
     for case in 0..CASES {
         let mut rng = rng_for(8, case);
         let x = rng.gen_range(20.0..80.0);
@@ -241,9 +265,20 @@ fn bell_density_conserves_mass_anywhere() {
             vec![],
         );
         let mut field = DensityField::new(BinGrid::new(model.die, 20, 20, 1.0), vec![0]);
-        let mut gx = vec![0.0; 1];
-        let mut gy = vec![0.0; 1];
-        let stats = field.penalty_grad(&model, &mut gx, &mut gy);
+        let (mut wx, mut wy) = (vec![0.0; 1], vec![0.0; 1]);
+        let (mut gx, mut gy) = (vec![0.0; 1], vec![0.0; 1]);
+        let (_, stats) = fused_wl_den_grad(
+            &model,
+            WirelengthModel::Wa,
+            1.0,
+            std::slice::from_mut(&mut field),
+            &mut WlScratch::new(),
+            &mut wx,
+            &mut wy,
+            &mut gx,
+            &mut gy,
+            &Parallelism::single(),
+        );
         assert!(stats.penalty >= 0.0);
         assert!(gx[0].is_finite() && gy[0].is_finite(), "case {case}");
     }
