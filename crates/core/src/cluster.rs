@@ -1,17 +1,11 @@
-//! Hierarchy-aware multilevel clustering.
+//! Hierarchy-aware multilevel clustering with the **best-choice**
+//! algorithm the paper's framework uses: a lazy-updating priority queue
+//! always merges the globally best pair, letting clusters grow beyond
+//! pairs within one level ([`cluster_best_choice`]).
 //!
-//! Two coarseners are provided:
-//!
-//! * [`cluster`] — first-choice pairwise matching (one sweep, merges
-//!   disjoint pairs); simple and fast;
-//! * [`cluster_best_choice`] — the **best-choice** algorithm the paper's
-//!   framework uses: a lazy-updating priority queue always merges the
-//!   globally best pair, letting clusters grow beyond pairs within one
-//!   level.
-//!
-//! Both are hierarchy-aware: clusters never cross fence regions and never
-//! absorb macros, so the coarse problem keeps the region structure intact.
-//! [`build_levels`] (used by the placer) drives best-choice.
+//! Clusters never cross fence regions and never absorb macros, so the
+//! coarse problem keeps the region structure intact. [`build_levels`]
+//! (used by the placer) drives the coarsening level by level.
 
 use crate::model::{Model, ModelNet, ModelPin, FIXED_PIN};
 use rdp_geom::Point;
@@ -111,67 +105,6 @@ fn coarsen(model: &Model, parent: &[u32], coarse_n: usize) -> Model {
     }
 
     Model::from_parts(pos, size, area, is_macro, region, &nets, model.die, vec![])
-}
-
-/// Clusters `model` one level with first-choice pairwise matching.
-///
-/// Returns `None` when clustering achieves less than 10% reduction (the
-/// multilevel recursion's termination test). `max_cluster_area` caps the
-/// merged area.
-pub fn cluster(model: &Model, max_cluster_area: f64) -> Option<Clustering> {
-    let n = model.len();
-    if n < 8 {
-        return None;
-    }
-    let aff = build_affinities(model, 6);
-
-    // Per-object candidate list sorted by score for deterministic greedy
-    // matching.
-    let mut neighbors: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-    for (&(a, b), &w) in &aff {
-        let score = w / (model.area[a as usize] + model.area[b as usize]).max(1e-12);
-        neighbors[a as usize].push((b, score));
-        neighbors[b as usize].push((a, score));
-    }
-    for list in &mut neighbors {
-        list.sort_by(|x, y| y.1.partial_cmp(&x.1).unwrap_or(std::cmp::Ordering::Equal).then(x.0.cmp(&y.0)));
-    }
-
-    let mut parent = vec![u32::MAX; n];
-    let mut next = 0u32;
-    for i in 0..n {
-        if parent[i] != u32::MAX {
-            continue;
-        }
-        if model.is_macro[i] {
-            parent[i] = next;
-            next += 1;
-            continue;
-        }
-        let mate = neighbors[i]
-            .iter()
-            .find(|&&(j, _)| {
-                let j = j as usize;
-                parent[j] == u32::MAX
-                    && !model.is_macro[j]
-                    && model.region[j] == model.region[i]
-                    && model.area[i] + model.area[j] <= max_cluster_area
-            })
-            .map(|&(j, _)| j);
-        parent[i] = next;
-        if let Some(j) = mate {
-            parent[j as usize] = next;
-        }
-        next += 1;
-    }
-    let coarse_n = next as usize;
-    if coarse_n as f64 > 0.9 * n as f64 {
-        return None;
-    }
-    Some(Clustering {
-        coarse: coarsen(model, &parent, coarse_n),
-        parent,
-    })
 }
 
 /// A max-heap entry for best-choice clustering (lazy invalidation).
@@ -402,18 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn clustering_reduces_object_count() {
-        let m = grouped_model(64, 4);
-        let c = cluster(&m, 1e9).expect("should cluster");
-        assert!(c.coarse.len() < m.len());
-        assert!(c.coarse.len() >= m.len() / 2, "pairwise matching halves at most");
-        // Area conservation.
-        let fine_area: f64 = m.area.iter().sum();
-        let coarse_area: f64 = c.coarse.area.iter().sum();
-        assert!((fine_area - coarse_area).abs() < 1e-9);
-    }
-
-    #[test]
     fn best_choice_reaches_target_count() {
         let m = grouped_model(64, 4);
         let c = cluster_best_choice(&m, 1e9, 10).expect("should cluster");
@@ -453,7 +374,7 @@ mod tests {
     #[test]
     fn internal_nets_are_dropped() {
         let m = grouped_model(16, 1);
-        let c = cluster(&m, 1e9).unwrap();
+        let c = cluster_best_choice(&m, 1e9, 4).unwrap();
         assert!(c.coarse.num_nets() < m.num_nets());
         for ni in 0..c.coarse.num_nets() {
             assert!(c.coarse.net_degree(ni) >= 2);
@@ -464,16 +385,15 @@ mod tests {
     fn macros_stay_singletons() {
         let mut m = grouped_model(16, 2);
         m.is_macro[3] = true;
-        for clustering in [cluster(&m, 1e9).unwrap(), cluster_best_choice(&m, 1e9, 4).unwrap()] {
-            let p3 = clustering.parent[3] as usize;
-            assert!(clustering.coarse.is_macro[p3]);
-            for i in 0..m.len() {
-                if i != 3 {
-                    assert_ne!(clustering.parent[i] as usize, p3, "object {i} merged into macro");
-                }
+        let clustering = cluster_best_choice(&m, 1e9, 4).unwrap();
+        let p3 = clustering.parent[3] as usize;
+        assert!(clustering.coarse.is_macro[p3]);
+        for i in 0..m.len() {
+            if i != 3 {
+                assert_ne!(clustering.parent[i] as usize, p3, "object {i} merged into macro");
             }
-            assert_eq!(clustering.coarse.size[p3], m.size[3]);
         }
+        assert_eq!(clustering.coarse.size[p3], m.size[3]);
     }
 
     #[test]
@@ -482,17 +402,16 @@ mod tests {
         for i in 0..16 {
             m.region[i] = Some(RegionId(0));
         }
-        for c in [cluster(&m, 1e9).unwrap(), cluster_best_choice(&m, 1e9, 6).unwrap()] {
-            for i in 0..m.len() {
-                for j in 0..m.len() {
-                    if c.parent[i] == c.parent[j] {
-                        assert_eq!(m.region[i], m.region[j], "cluster crosses region: {i},{j}");
-                    }
+        let c = cluster_best_choice(&m, 1e9, 6).unwrap();
+        for i in 0..m.len() {
+            for j in 0..m.len() {
+                if c.parent[i] == c.parent[j] {
+                    assert_eq!(m.region[i], m.region[j], "cluster crosses region: {i},{j}");
                 }
             }
-            for i in 0..m.len() {
-                assert_eq!(c.coarse.region[c.parent[i] as usize], m.region[i]);
-            }
+        }
+        for i in 0..m.len() {
+            assert_eq!(c.coarse.region[c.parent[i] as usize], m.region[i]);
         }
     }
 
@@ -500,7 +419,6 @@ mod tests {
     fn area_cap_prevents_giant_clusters() {
         let m = grouped_model(32, 1);
         // Cap below 2 cells: no merge possible => None (no reduction).
-        assert!(cluster(&m, 30.0).is_none());
         assert!(cluster_best_choice(&m, 30.0, 4).is_none());
     }
 
@@ -526,7 +444,7 @@ mod tests {
     #[test]
     fn project_down_places_members_near_cluster() {
         let mut m = grouped_model(32, 4);
-        let c = cluster(&m, 1e9).unwrap();
+        let c = cluster_best_choice(&m, 1e9, 8).unwrap();
         let mut coarse = c.coarse.clone();
         for p in 0..coarse.len() {
             coarse.set_pos(p, Point::new(25.0, 75.0));

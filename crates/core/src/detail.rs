@@ -14,21 +14,11 @@ use rdp_route::RouteGrid;
 /// Knobs for the detailed placement passes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetailOptions {
-    /// Rounds of (swap + reorder + flip [+ ISM]).
+    /// Rounds of (swap + reorder + flip).
     pub passes: usize,
     /// Congestion price: HPWL gain required per unit of congestion-ratio
     /// increase at the destination (0 = congestion-blind).
     pub congestion_weight: f64,
-    /// Also run independent-set matching (exact slot re-assignment within
-    /// net-disjoint batches of equal-footprint cells). Off by default —
-    /// it subsumes many swaps at higher cost per pass.
-    pub ism: bool,
-    /// Batch size for ISM (assignment solved exactly by permutation;
-    /// values ≤ 6 are practical).
-    pub ism_batch: usize,
-    /// Also run gap relocation (single-cell moves into free row gaps near
-    /// the incident-net optimum). Off by default.
-    pub relocate: bool,
 }
 
 impl Default for DetailOptions {
@@ -36,9 +26,6 @@ impl Default for DetailOptions {
         DetailOptions {
             passes: 2,
             congestion_weight: 0.0,
-            ism: false,
-            ism_batch: 4,
-            relocate: false,
         }
     }
 }
@@ -297,245 +284,6 @@ pub fn reorder_pass(design: &Design, placement: &mut Placement, window: usize) -
     accepted
 }
 
-/// One pass of gap relocation: each standard cell may move into a free gap
-/// near its incident-net optimal position — the move swaps cannot express
-/// when no equal-footprint partner exists there. Vacated space is not
-/// reused within the pass (gaps only shrink), which keeps the bookkeeping
-/// exact. Returns the number of relocations.
-pub fn relocate_pass(
-    design: &Design,
-    placement: &mut Placement,
-    congestion: Option<&RouteGrid>,
-    congestion_weight: f64,
-) -> usize {
-    use crate::legalize::build_segments;
-    // Obstacles: fixed blocks (shape-aware) and macros at their positions.
-    let obstacles: Vec<Rect> = design
-        .node_ids()
-        .filter(|&id| {
-            let n = design.node(id);
-            n.kind() == rdp_db::NodeKind::Fixed || n.is_macro()
-        })
-        .flat_map(|id| design.blocking_rects(id, placement))
-        .collect();
-    let segments = build_segments(design, &obstacles);
-
-    // Free gaps per segment, derived from the cells currently in it.
-    struct Gap {
-        row: usize,
-        region: Option<rdp_db::RegionId>,
-        lo: f64,
-        hi: f64,
-    }
-    let mut gaps: Vec<Gap> = Vec::new();
-    for seg in &segments {
-        let row = design.rows()[seg.row];
-        let mut spans: Vec<(f64, f64)> = design
-            .node_ids()
-            .filter(|&id| design.node(id).is_std_cell())
-            .map(|id| placement.rect(design, id))
-            .filter(|r| (r.yl - row.y()).abs() < 1e-6 && r.xl >= seg.interval.lo - 1e-6 && r.xh <= seg.interval.hi + 1e-6)
-            .map(|r| (r.xl, r.xh))
-            .collect();
-        spans.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        let mut cursor = seg.interval.lo;
-        for (xl, xh) in spans {
-            if xl > cursor + 1e-9 {
-                gaps.push(Gap { row: seg.row, region: seg.region, lo: cursor, hi: xl });
-            }
-            cursor = cursor.max(xh);
-        }
-        if seg.interval.hi > cursor + 1e-9 {
-            gaps.push(Gap { row: seg.row, region: seg.region, lo: cursor, hi: seg.interval.hi });
-        }
-    }
-
-    let site = design.rows().first().map(|r| r.site_width()).unwrap_or(1.0);
-    let mut moves = 0;
-    for id in design.node_ids() {
-        if !design.node(id).is_std_cell() {
-            continue;
-        }
-        let nets = incident_nets(design, &[id]);
-        if nets.is_empty() {
-            continue;
-        }
-        let mut bb = Rect::empty();
-        for &net in &nets {
-            for &pid in design.net(net).pins() {
-                if design.pin(pid).node() != id {
-                    bb.expand_to(placement.pin_position(design, pid));
-                }
-            }
-        }
-        if bb.is_empty() {
-            continue;
-        }
-        let target = bb.center();
-        let cur = placement.center(id);
-        let (w, h) = placement.dims(design, id);
-        if target.manhattan(cur) < 2.0 * h {
-            continue; // already close
-        }
-        let w_sites = (w / site).ceil() * site;
-        let region = design.node(id).region();
-        let before = nets_hpwl(design, placement, &nets);
-        let orig_ll = placement.lower_left(design, id);
-        let mut best: Option<(f64, usize, f64)> = None; // (gain, gap idx, x)
-        for (gi, gap) in gaps.iter().enumerate() {
-            if gap.region != region || gap.hi - gap.lo + 1e-9 < w_sites {
-                continue;
-            }
-            let row_y = design.rows()[gap.row].y();
-            if (row_y - target.y).abs() > 6.0 * h {
-                continue; // too far vertically to be worth evaluating
-            }
-            // Best x inside the gap: clamp target, snap to site.
-            let want = target.x - w / 2.0;
-            let x = rdp_geom::clamp(want, gap.lo, gap.hi - w_sites);
-            let x = gap.lo + ((x - gap.lo) / site).round() * site;
-            let x = rdp_geom::clamp(x, gap.lo, gap.hi - w_sites);
-            placement.set_lower_left(design, id, Point::new(x, row_y));
-            let after = nets_hpwl(design, placement, &nets);
-            placement.set_lower_left(design, id, orig_ll);
-            let price = congestion_weight
-                * (congestion_at(congestion, Point::new(x + w / 2.0, row_y + h / 2.0))
-                    - congestion_at(congestion, cur))
-                .max(0.0);
-            let gain = before - after - price;
-            if gain > 1e-9 && best.map(|(g, _, _)| gain > g).unwrap_or(true) {
-                best = Some((gain, gi, x));
-            }
-        }
-        if let Some((_, gi, x)) = best {
-            let row_y = design.rows()[gaps[gi].row].y();
-            placement.set_lower_left(design, id, Point::new(x, row_y));
-            // Shrink the used gap (split into remnants).
-            let (lo, hi) = (gaps[gi].lo, gaps[gi].hi);
-            let (row, reg) = (gaps[gi].row, gaps[gi].region);
-            gaps[gi].hi = x; // left remnant (may become empty)
-            if x + w_sites < hi - 1e-9 {
-                gaps.push(Gap { row, region: reg, lo: x + w_sites, hi });
-            }
-            let _ = lo;
-            moves += 1;
-        }
-    }
-    moves
-}
-
-/// One pass of independent-set matching: batches of mutually net-disjoint,
-/// equal-footprint, same-region cells trade positions via an exactly-solved
-/// assignment (their HPWL contributions are separable precisely because
-/// they share no nets). Returns the number of batches whose assignment
-/// changed.
-pub fn ism_pass(
-    design: &Design,
-    placement: &mut Placement,
-    congestion: Option<&RouteGrid>,
-    congestion_weight: f64,
-    batch: usize,
-) -> usize {
-    let batch = batch.clamp(2, 6);
-    // Group by footprint and region so any slot permutation stays legal.
-    let mut groups: std::collections::HashMap<(u64, u64, Option<rdp_db::RegionId>), Vec<NodeId>> =
-        std::collections::HashMap::new();
-    for id in design.node_ids() {
-        if !design.node(id).is_std_cell() {
-            continue;
-        }
-        let (w, h) = placement.dims(design, id);
-        groups
-            .entry(((w * 1024.0) as u64, (h * 1024.0) as u64, design.node(id).region()))
-            .or_default()
-            .push(id);
-    }
-    let mut groups: Vec<_> = groups.into_values().collect();
-    groups.sort_by_key(|g| g.first().copied());
-
-    let mut improved = 0;
-    for group in groups {
-        // Build net-disjoint batches greedily in id order.
-        let mut used_nets: Vec<NetId> = Vec::new();
-        let mut current: Vec<NodeId> = Vec::new();
-        let mut batches: Vec<Vec<NodeId>> = Vec::new();
-        for id in group {
-            let nets = incident_nets(design, &[id]);
-            if nets.iter().any(|n| used_nets.contains(n)) {
-                continue;
-            }
-            used_nets.extend(nets);
-            current.push(id);
-            if current.len() == batch {
-                batches.push(std::mem::take(&mut current));
-                used_nets.clear();
-            }
-        }
-        for cells in batches {
-            let k = cells.len();
-            let slots: Vec<Point> = cells.iter().map(|&id| placement.center(id)).collect();
-            // Exact per-(cell, slot) costs: separable since nets are
-            // disjoint across the batch.
-            let mut cost = vec![vec![0.0f64; k]; k];
-            for (i, &id) in cells.iter().enumerate() {
-                let nets = incident_nets(design, &[id]);
-                let original = placement.center(id);
-                for (j, &slot) in slots.iter().enumerate() {
-                    placement.set_center(id, slot);
-                    let wl = nets_hpwl(design, placement, &nets);
-                    let price = congestion_weight
-                        * (congestion_at(congestion, slot) - congestion_at(congestion, original))
-                            .max(0.0);
-                    cost[i][j] = wl + price;
-                }
-                placement.set_center(id, original);
-            }
-            // Exact assignment by permutation search (k ≤ 6).
-            let mut perm: Vec<usize> = (0..k).collect();
-            let mut best: Vec<usize> = perm.clone();
-            let identity_cost: f64 = (0..k).map(|i| cost[i][i]).sum();
-            let mut best_cost = identity_cost;
-            #[allow(clippy::too_many_arguments)]
-            fn search(
-                i: usize,
-                k: usize,
-                taken: &mut Vec<bool>,
-                perm: &mut Vec<usize>,
-                cost: &[Vec<f64>],
-                acc: f64,
-                best_cost: &mut f64,
-                best: &mut Vec<usize>,
-            ) {
-                if acc >= *best_cost {
-                    return; // branch and bound
-                }
-                if i == k {
-                    *best_cost = acc;
-                    best.clone_from(perm);
-                    return;
-                }
-                for j in 0..k {
-                    if !taken[j] {
-                        taken[j] = true;
-                        perm[i] = j;
-                        search(i + 1, k, taken, perm, cost, acc + cost[i][j], best_cost, best);
-                        taken[j] = false;
-                    }
-                }
-            }
-            let mut taken = vec![false; k];
-            search(0, k, &mut taken, &mut perm, &cost, 0.0, &mut best_cost, &mut best);
-            if best_cost + 1e-9 < identity_cost {
-                for (i, &id) in cells.iter().enumerate() {
-                    placement.set_center(id, slots[best[i]]);
-                }
-                improved += 1;
-            }
-        }
-    }
-    improved
-}
-
 /// Runs the full detailed-placement schedule.
 pub fn detailed_place(
     design: &Design,
@@ -551,13 +299,6 @@ pub fn detailed_place(
         stats.swaps += global_swap_pass(design, placement, congestion, opts.congestion_weight);
         stats.reorders += reorder_pass(design, placement, 3);
         stats.flips += flip_std_cells(design, placement);
-        if opts.ism {
-            stats.swaps +=
-                ism_pass(design, placement, congestion, opts.congestion_weight, opts.ism_batch);
-        }
-        if opts.relocate {
-            stats.swaps += relocate_pass(design, placement, congestion, opts.congestion_weight);
-        }
     }
     stats.hpwl_after = rdp_db::hpwl::total_hpwl(design, placement);
     stats
@@ -617,74 +358,6 @@ mod tests {
         assert!(after <= before + 1e-6);
         let report = check_legal(&design, &pl, 20);
         assert!(report.is_legal(), "violations: {:?}", report.violations);
-    }
-
-    #[test]
-    fn relocate_pass_improves_and_keeps_legality() {
-        let (design, mut pl) = legal_bench(37);
-        let before = rdp_db::hpwl::total_hpwl(&design, &pl);
-        let moves = relocate_pass(&design, &mut pl, None, 0.0);
-        let after = rdp_db::hpwl::total_hpwl(&design, &pl);
-        assert!(after <= before + 1e-6, "relocation made HPWL worse: {before} -> {after}");
-        assert!(moves > 0, "random-legalized placement should have relocation gains");
-        let report = check_legal(&design, &pl, 20);
-        assert!(report.is_legal(), "violations: {:?}", report.violations);
-    }
-
-    #[test]
-    fn relocate_respects_fences() {
-        use rdp_gen::GeneratorConfig;
-        let bench = generate(&GeneratorConfig::hierarchical("dpr", 38, 2)).unwrap();
-        let mut pl = bench.placement.clone();
-        legalize_with_displacement_par(&bench.design, &mut pl, &Parallelism::single());
-        relocate_pass(&bench.design, &mut pl, None, 0.0);
-        let report = check_legal(&bench.design, &pl, 30);
-        assert_eq!(
-            report.fence_violations, 0,
-            "relocation crossed a fence: {:?}",
-            &report.violations[..report.violations.len().min(5)]
-        );
-        assert!(report.is_legal(), "violations: {:?}", &report.violations[..report.violations.len().min(5)]);
-    }
-
-    #[test]
-    fn ism_pass_improves_and_keeps_legality() {
-        let (design, mut pl) = legal_bench(34);
-        let before = rdp_db::hpwl::total_hpwl(&design, &pl);
-        let improved = ism_pass(&design, &mut pl, None, 0.0, 4);
-        let after = rdp_db::hpwl::total_hpwl(&design, &pl);
-        assert!(after <= before + 1e-6, "ISM made HPWL worse: {before} -> {after}");
-        assert!(improved > 0, "random-legalized placement should have ISM gains");
-        let report = check_legal(&design, &pl, 20);
-        assert!(report.is_legal(), "violations: {:?}", report.violations);
-    }
-
-    #[test]
-    fn ism_respects_fence_regions() {
-        use rdp_gen::GeneratorConfig;
-        let bench = generate(&GeneratorConfig::hierarchical("dpi", 35, 2)).unwrap();
-        let mut pl = bench.placement.clone();
-        legalize_with_displacement_par(&bench.design, &mut pl, &Parallelism::single());
-        ism_pass(&bench.design, &mut pl, None, 0.0, 4);
-        let report = check_legal(&bench.design, &pl, 30);
-        assert_eq!(
-            report.fence_violations, 0,
-            "ISM crossed a fence: {:?}",
-            &report.violations[..report.violations.len().min(5)]
-        );
-    }
-
-    #[test]
-    fn detailed_place_with_ism_enabled() {
-        let (design, mut pl) = legal_bench(36);
-        let stats = detailed_place(
-            &design,
-            &mut pl,
-            None,
-            DetailOptions { ism: true, passes: 1, ..DetailOptions::default() },
-        );
-        assert!(stats.hpwl_after <= stats.hpwl_before);
-        assert!(check_legal(&design, &pl, 10).is_legal());
     }
 
     #[test]

@@ -20,11 +20,6 @@ pub struct InflationConfig {
     pub max_total: f64,
     /// Congestion ratio above which a cell inflates.
     pub threshold: f64,
-    /// Whether fence-constrained cells inflate too. Off by default: a
-    /// fence's capacity is fixed, so inflating its members cannot spread
-    /// them anywhere — it only fights the pull-in force and destabilizes
-    /// convergence.
-    pub inflate_fenced: bool,
 }
 
 impl Default for InflationConfig {
@@ -33,7 +28,6 @@ impl Default for InflationConfig {
             alpha: 1.0,
             max_total: 2.5,
             threshold: 1.0,
-            inflate_fenced: false,
         }
     }
 }
@@ -73,13 +67,16 @@ pub struct InflationStats {
 /// Inflates the density areas of objects sitting in congested gcells of
 /// `grid`. Compounds across passes, capped at `config.max_total` times the
 /// physical area. Macros are exempt (they are congestion *causes* handled
-/// by blockage carving, not congestion *movers*).
+/// by blockage carving, not congestion *movers*), and so are
+/// fence-constrained cells: a fence's capacity is fixed, so inflating its
+/// members cannot spread them anywhere — it only fights the pull-in force
+/// and destabilizes convergence.
 pub fn inflate(model: &mut Model, grid: &RouteGrid, config: InflationConfig) -> InflationStats {
     let before: f64 = model.area.iter().sum();
     let mut inflated = 0;
     let mut skipped_nonfinite = 0;
     for i in 0..model.len() {
-        if model.is_macro[i] || (!config.inflate_fenced && model.region[i].is_some()) {
+        if model.is_macro[i] || model.region[i].is_some() {
             continue;
         }
         let g = grid.gcell_of(model.pos(i));

@@ -5,20 +5,21 @@
 //!
 //! The pipeline, orchestrated by [`Placer`]:
 //!
-//! 1. **hierarchy-aware multilevel clustering** ([`cluster`]) — fence
-//!    regions and macros survive coarsening intact;
+//! 1. **hierarchy-aware multilevel best-choice clustering** ([`cluster`])
+//!    — fence regions and macros survive coarsening intact;
 //! 2. **analytical global placement** ([`optimizer`]) — conjugate gradient
 //!    on a smooth wirelength model ([`wirelength`]: LSE or the
 //!    weighted-average model) plus a bell-shaped density penalty
 //!    ([`density`]) with per-fence density fields and a fence pull-in
 //!    force ([`fence`]), both evaluated by one fused pass ([`fused`]);
-//! 3. **macro rotation/flipping** ([`macro_handling`]);
+//! 3. **macro rotation/flipping** ([`macro_handling`]) — discrete
+//!    re-selection of each macro's orientation;
 //! 4. **routability optimization** ([`inflation`]) — congestion-estimate →
 //!    cell inflation → re-place loop against `rdp-route`;
 //! 5. **legalization** ([`legalize`]) — macros first, then row/site-legal
 //!    standard cells via Tetris assignment + Abacus packing, fence-aware;
-//! 6. **detailed placement** ([`detail`]) — congestion-aware cell moves,
-//!    window reordering and cell flipping.
+//! 6. **detailed placement** ([`detail`]) — congestion-aware global
+//!    swapping, window reordering and cell flipping.
 //!
 //! # Examples
 //!
@@ -49,15 +50,14 @@ pub mod net_weighting;
 pub mod optimizer;
 mod placer;
 pub mod recovery;
-pub mod rotation;
 pub mod trace;
 pub mod wirelength;
 
 pub use model::Model;
 pub use optimizer::{GpDensityModel, GpOptions, GpOutcome, GpSolver};
 pub use placer::{
-    CongestionSchedule, CongestionSource, GpRoutabilityOptions, GpRoutabilityOptionsBuilder,
-    PlaceError, PlaceOptions, PlaceResult, Placer, RotationMode,
+    CongestionSchedule, CongestionSource, GpRoutabilityOptions, PlaceError, PlaceOptions,
+    PlaceResult, Placer,
 };
 pub use placer::FlowProgress;
 pub use recovery::{

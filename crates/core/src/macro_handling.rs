@@ -4,7 +4,7 @@
 //!
 //! The original formulation adds a continuous rotation variable per macro
 //! to the analytical objective. This reproduction substitutes a discrete
-//! variant (documented in DESIGN.md): between penalty rounds, each macro
+//! variant (documented in DESIGN.md): after global placement, each macro
 //! greedily adopts whichever of the eight Bookshelf orientations minimizes
 //! the exact HPWL of its incident nets, holding everything else fixed.
 //! It optimizes the same objective term and is robust at the design sizes
@@ -53,16 +53,13 @@ fn incident_nets(design: &Design, node: NodeId) -> Vec<NetId> {
 }
 
 /// Re-selects the orientation of every movable macro to the incident-HPWL
-/// argmin. Returns the number of macros whose orientation changed.
+/// argmin over all eight orientations (rotations and flips). Returns the
+/// number of macros whose orientation changed.
 ///
-/// `allow_rotation = false` restricts the search to `{N, FN, S, FS}`
-/// (flipping only, no dimension swap) — the ablation mode of experiment
-/// **T5**.
-pub fn optimize_macro_orientations(
-    design: &Design,
-    placement: &mut Placement,
-    allow_rotation: bool,
-) -> usize {
+/// This is how the flow realizes the paper's macro rotation: a discrete
+/// re-selection rather than a continuous rotation force. Experiment
+/// **T5** ablates it as a whole (`PlaceOptions::without_rotation`).
+pub fn optimize_macro_orientations(design: &Design, placement: &mut Placement) -> usize {
     let mut changed = 0;
     for id in design.macro_ids() {
         let nets = incident_nets(design, id);
@@ -70,14 +67,9 @@ pub fn optimize_macro_orientations(
             continue;
         }
         let current = placement.orient(id);
-        let candidates: &[Orient] = if allow_rotation {
-            &Orient::ALL
-        } else {
-            &[Orient::N, Orient::FN, Orient::S, Orient::FS]
-        };
         let mut best = current;
         let mut best_wl = incident_hpwl(design, placement, id, current, &nets);
-        for &o in candidates {
+        for o in Orient::ALL {
             if o == current {
                 continue;
             }
@@ -156,7 +148,7 @@ mod tests {
         let t = d.find_node("t").unwrap();
         pl.set_center(t, Point::new(10.0, 100.0));
         let before = rdp_db::hpwl::total_hpwl(&d, &pl);
-        let changed = optimize_macro_orientations(&d, &mut pl, true);
+        let changed = optimize_macro_orientations(&d, &mut pl);
         let after = rdp_db::hpwl::total_hpwl(&d, &pl);
         assert_eq!(changed, 1);
         assert!(after < before, "HPWL {after} !< {before}");
@@ -172,21 +164,9 @@ mod tests {
         pl.set_center(m, Point::new(100.0, 100.0));
         let t = d.find_node("t").unwrap();
         pl.set_center(t, Point::new(190.0, 100.0));
-        let changed = optimize_macro_orientations(&d, &mut pl, true);
+        let changed = optimize_macro_orientations(&d, &mut pl);
         assert_eq!(changed, 0);
         assert_eq!(pl.orient(m), Orient::N);
-    }
-
-    #[test]
-    fn rotation_restriction_respected() {
-        let (d, m) = macro_design(Point::new(100.0, 10.0));
-        let mut pl = rdp_db::Placement::new_centered(&d);
-        pl.set_center(m, Point::new(100.0, 100.0));
-        let t = d.find_node("t").unwrap();
-        pl.set_center(t, Point::new(100.0, 10.0));
-        optimize_macro_orientations(&d, &mut pl, false);
-        // Without rotation, dims must not swap.
-        assert!(!pl.orient(m).swaps_dimensions());
     }
 
     #[test]

@@ -10,25 +10,16 @@
 use crate::model::Model;
 use rdp_route::RouteGrid;
 
-/// Net-weighting tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetWeightingConfig {
-    /// Weight boost per unit of congestion-ratio excess:
-    /// `factor = 1 + strength·(ratio − 1)`.
-    pub strength: f64,
-    /// Cap on the weight multiplier.
-    pub max_factor: f64,
-}
-
-impl Default for NetWeightingConfig {
-    fn default() -> Self {
-        NetWeightingConfig { strength: 2.0, max_factor: 4.0 }
-    }
-}
+/// Weight boost per unit of congestion-ratio excess:
+/// `factor = 1 + STRENGTH·(ratio − 1)`.
+const STRENGTH: f64 = 2.0;
+/// Cap on the weight multiplier.
+const MAX_FACTOR: f64 = 4.0;
 
 /// Re-derives every net's weight from `base` (the design weights) times a
-/// congestion factor sampled at its pins' gcells. Returns the number of
-/// nets boosted above their base weight.
+/// congestion factor sampled at its pins' gcells (`1 + 2·(ratio − 1)`,
+/// capped at 4). Returns the number of nets boosted above their base
+/// weight.
 ///
 /// # Panics
 ///
@@ -37,7 +28,6 @@ pub fn apply_congestion_weights(
     model: &mut Model,
     grid: &RouteGrid,
     base: &[f64],
-    config: NetWeightingConfig,
 ) -> usize {
     assert_eq!(base.len(), model.num_nets(), "base weight vector mismatch");
     let mut boosted = 0;
@@ -48,7 +38,7 @@ pub fn apply_congestion_weights(
             worst = worst.max(grid.gcell_congestion(grid.gcell_of(pos)));
         }
         let factor = if worst > 1.0 {
-            (1.0 + config.strength * (worst - 1.0)).min(config.max_factor)
+            (1.0 + STRENGTH * (worst - 1.0)).min(MAX_FACTOR)
         } else {
             1.0
         };
@@ -106,7 +96,7 @@ mod tests {
     fn nets_through_hot_spots_gain_weight() {
         let mut m = model_with_nets();
         let base = vec![1.0, 2.0];
-        let boosted = apply_congestion_weights(&mut m, &hot_grid(), &base, NetWeightingConfig::default());
+        let boosted = apply_congestion_weights(&mut m, &hot_grid(), &base);
         assert_eq!(boosted, 1);
         // Net 0 touches the hot gcell (ratio 2): factor 1 + 2·1 = 3.
         assert!((m.net_weight[0] - 3.0).abs() < 1e-9);
@@ -120,10 +110,10 @@ mod tests {
         let base = vec![1.0, 2.0];
         let mut g = hot_grid();
         g.add_usage(g.h_edge(2, 2), 200.0); // absurd ratio
-        apply_congestion_weights(&mut m, &g, &base, NetWeightingConfig::default());
-        assert!((m.net_weight[0] - 4.0).abs() < 1e-9, "capped at max_factor");
+        apply_congestion_weights(&mut m, &g, &base);
+        assert!((m.net_weight[0] - 4.0).abs() < 1e-9, "capped at MAX_FACTOR");
         // Applying twice does not compound (recomputed from base).
-        apply_congestion_weights(&mut m, &g, &base, NetWeightingConfig::default());
+        apply_congestion_weights(&mut m, &g, &base);
         assert!((m.net_weight[0] - 4.0).abs() < 1e-9);
     }
 
@@ -131,7 +121,7 @@ mod tests {
     fn reset_restores_base() {
         let mut m = model_with_nets();
         let base = vec![1.0, 2.0];
-        apply_congestion_weights(&mut m, &hot_grid(), &base, NetWeightingConfig::default());
+        apply_congestion_weights(&mut m, &hot_grid(), &base);
         reset_weights(&mut m, &base);
         assert_eq!(m.net_weight[0], 1.0);
         assert_eq!(m.net_weight[1], 2.0);

@@ -86,19 +86,6 @@ impl fmt::Display for PlaceError {
 
 impl std::error::Error for PlaceError {}
 
-/// Macro-orientation optimization strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RotationMode {
-    /// Greedy argmin over the eight orientations against exact incident
-    /// HPWL (robust; the default).
-    #[default]
-    Discrete,
-    /// The paper's continuous rotation force: a per-macro angle variable
-    /// optimized analytically and snapped to quarter turns, followed by a
-    /// discrete flipping decision.
-    Continuous,
-}
-
 /// One tier of the congestion-estimator ladder, cheapest to most
 /// accurate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -197,9 +184,10 @@ impl CongestionSchedule {
 
 /// How the routability loop obtains its congestion picture: a
 /// [`CongestionSchedule`] over the three estimator tiers, plus the router
-/// and learned-tier configuration. Construct via
-/// [`GpRoutabilityOptions::builder`] (mirrors [`RouterConfig::builder`]).
-#[derive(Debug, Clone, PartialEq)]
+/// and learned-tier configuration. Start from the default
+/// (probabilistic-only) and set the fields, or use
+/// [`PlaceOptions::with_estimator`].
+#[derive(Debug, Clone, Default, PartialEq)]
 #[non_exhaustive]
 pub struct GpRoutabilityOptions {
     /// Router configuration of the [`CongestionSource::Router`] tier. Its
@@ -213,27 +201,7 @@ pub struct GpRoutabilityOptions {
     pub estimator_weights: Option<rdp_route::EstimatorWeights>,
 }
 
-impl Default for GpRoutabilityOptions {
-    fn default() -> Self {
-        GpRoutabilityOptions::builder().build()
-    }
-}
-
 impl GpRoutabilityOptions {
-    /// Starts a builder with the default (probabilistic-only) schedule.
-    pub fn builder() -> GpRoutabilityOptionsBuilder {
-        GpRoutabilityOptionsBuilder::default()
-    }
-
-    /// A builder seeded with this configuration, for deriving variants.
-    pub fn to_builder(&self) -> GpRoutabilityOptionsBuilder {
-        GpRoutabilityOptionsBuilder {
-            router: self.router.clone(),
-            schedule: self.schedule.clone(),
-            estimator_weights: self.estimator_weights.clone(),
-        }
-    }
-
     /// The schedule the placer runs.
     pub fn effective_schedule(&self) -> CongestionSchedule {
         self.schedule.clone()
@@ -244,60 +212,6 @@ impl GpRoutabilityOptions {
         self.estimator_weights
             .as_ref()
             .unwrap_or_else(|| rdp_route::EstimatorWeights::builtin())
-    }
-}
-
-/// Builder of [`GpRoutabilityOptions`] (the congestion-source half of the
-/// placement options), mirroring [`RouterConfig::builder`].
-///
-/// # Examples
-///
-/// ```
-/// use rdp_core::{CongestionSchedule, GpRoutabilityOptions};
-///
-/// let opts = GpRoutabilityOptions::builder()
-///     .schedule(CongestionSchedule::auto())
-///     .build();
-/// assert_eq!(opts.effective_schedule(), CongestionSchedule::auto());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct GpRoutabilityOptionsBuilder {
-    router: RouterConfig,
-    schedule: CongestionSchedule,
-    estimator_weights: Option<rdp_route::EstimatorWeights>,
-}
-
-impl GpRoutabilityOptionsBuilder {
-    /// Sets the router configuration of the router tier.
-    pub fn router(mut self, config: RouterConfig) -> Self {
-        self.router = config;
-        self
-    }
-
-    /// Sets the per-round congestion schedule.
-    pub fn schedule(mut self, schedule: CongestionSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Shorthand for a uniform schedule over one source.
-    pub fn source(self, source: CongestionSource) -> Self {
-        self.schedule(CongestionSchedule::Uniform(source))
-    }
-
-    /// Overrides the learned-tier weights (default: the checked-in set).
-    pub fn estimator_weights(mut self, weights: rdp_route::EstimatorWeights) -> Self {
-        self.estimator_weights = Some(weights);
-        self
-    }
-
-    /// Finishes the configuration.
-    pub fn build(self) -> GpRoutabilityOptions {
-        GpRoutabilityOptions {
-            router: self.router,
-            schedule: self.schedule,
-            estimator_weights: self.estimator_weights,
-        }
     }
 }
 
@@ -334,13 +248,10 @@ pub struct PlaceOptions {
     /// Additionally shorten congested nets by boosting their weights (the
     /// alternative mechanism several contest placers used; off by default).
     pub net_weighting: bool,
-    /// Net-weighting tuning.
-    pub net_weighting_config: crate::net_weighting::NetWeightingConfig,
-    /// Enable macro rotation/flipping optimization.
+    /// Enable macro rotation/flipping optimization (discrete re-selection
+    /// of each macro's orientation; see
+    /// [`crate::macro_handling::optimize_macro_orientations`]).
     pub macro_rotation: bool,
-    /// How macro orientations are optimized (discrete re-selection or the
-    /// paper's continuous rotation force; see [`crate::rotation`]).
-    pub rotation_mode: RotationMode,
     /// Run detailed placement after legalization.
     pub detailed: bool,
     /// Detailed-placement tuning.
@@ -365,11 +276,9 @@ impl Default for PlaceOptions {
             routability_opts: GpRoutabilityOptions::default(),
             inflate_cells: true,
             net_weighting: false,
-            net_weighting_config: crate::net_weighting::NetWeightingConfig::default(),
-            rotation_mode: RotationMode::Discrete,
             macro_rotation: true,
             detailed: true,
-            detail: DetailOptions { passes: 2, congestion_weight: 8.0, ..DetailOptions::default() },
+            detail: DetailOptions { passes: 2, congestion_weight: 8.0 },
             budget: FlowBudget::default(),
             seed: 1,
         }
@@ -387,7 +296,7 @@ impl PlaceOptions {
                 ..GpOptions::default()
             },
             inflation_rounds: 2,
-            detail: DetailOptions { passes: 1, congestion_weight: 8.0, ..DetailOptions::default() },
+            detail: DetailOptions { passes: 1, congestion_weight: 8.0 },
             ..PlaceOptions::default()
         }
     }
@@ -432,12 +341,6 @@ impl PlaceOptions {
             net_weighting: true,
             ..self
         }
-    }
-
-    /// Uses the continuous rotation force instead of discrete orientation
-    /// re-selection.
-    pub fn with_continuous_rotation(self) -> Self {
-        PlaceOptions { rotation_mode: RotationMode::Continuous, ..self }
     }
 
     /// Sets the worker-thread count for the parallel kernels (`0` = one per
@@ -1088,26 +991,7 @@ impl Flow<'_> {
     /// offsets and macro dims, so the model is rebuilt and re-polished.
     fn rotate(&mut self) {
         let design = self.design;
-        let placement = &mut self.placement;
-        let changed = match self.opts.rotation_mode {
-            RotationMode::Discrete => optimize_macro_orientations(design, placement, true),
-            RotationMode::Continuous => {
-                // Continuous angles, snapped; then a flip-only discrete
-                // pass decides mirroring (the angle cannot express it).
-                let gamma = 2.0 * design.row_height().unwrap_or(10.0);
-                let out = crate::rotation::optimize_rotation_continuous(&self.model, gamma, 100);
-                let mut changed = 0;
-                for (a, &q) in out.angles.iter().zip(&out.snapped) {
-                    let node = self.model.node_of[a.obj as usize];
-                    let orient = crate::rotation::orient_of_quarter(q);
-                    if placement.orient(node) != orient {
-                        placement.set_orient(node, orient);
-                        changed += 1;
-                    }
-                }
-                changed + optimize_macro_orientations(design, placement, false)
-            }
-        };
+        let changed = optimize_macro_orientations(design, &mut self.placement);
         if changed > 0 {
             self.model = Model::from_design(design, &self.placement);
             let out = self.solve(None, 4, "gp/rotation");
@@ -1202,7 +1086,6 @@ impl Flow<'_> {
                 &mut self.model,
                 grid,
                 &rounds.base_weights,
-                opts.net_weighting_config,
             );
         }
         if grid_corrupted {
@@ -1365,18 +1248,6 @@ mod tests {
     }
 
     #[test]
-    fn continuous_rotation_flow_is_legal() {
-        let bench = generate(&GeneratorConfig::tiny("pcr", 45)).unwrap();
-        let result = Placer::new(&bench.design, PlaceOptions::fast().with_continuous_rotation())
-            .with_initial(bench.placement.clone())
-            .run()
-            .unwrap();
-        let report = check_legal(&bench.design, &result.placement, 20);
-        assert!(report.is_legal(), "violations: {:?}", report.violations);
-        assert!(result.hpwl > 0.0);
-    }
-
-    #[test]
     fn router_congestion_mode_is_legal_and_reports_dirty_nets() {
         let bench = generate(&GeneratorConfig::tiny("prc", 46)).unwrap();
         let result = Placer::new(&bench.design, PlaceOptions::fast().with_router_congestion())
@@ -1485,6 +1356,20 @@ mod tests {
             Some(CongestionSchedule::Uniform(CongestionSource::Learned))
         );
         assert_eq!(CongestionSchedule::parse("bogus"), None);
+    }
+
+    /// `rdpbench` writes this `Debug` text into every run header as
+    /// `estimator_schedule`, and `bench --compare` refuses two runs whose
+    /// headers differ: a change here breaks every later comparison.
+    #[test]
+    fn schedule_debug_text_is_pinned() {
+        let schedule = GpRoutabilityOptions::default().effective_schedule();
+        assert_eq!(format!("{schedule:?}"), "Uniform(Probabilistic)");
+        let auto = PlaceOptions::default().with_estimator(CongestionSchedule::auto());
+        assert_eq!(
+            format!("{:?}", auto.routability_opts.effective_schedule()),
+            "Ladder { router_tail: 1 }"
+        );
     }
 
     #[test]

@@ -6,8 +6,9 @@
 #   --full    also exercise the feature-gated targets: property-tests
 #             (larger randomized-test case counts), a build of the
 #             microbenchmarks (the default gate lints them), every
-#             release-build gate at full size and the full chaos batch
-#             (two mid-batch server kills).
+#             release-build gate at full size, the full chaos batch
+#             (two mid-batch server kills) and every table/figure binary
+#             at smoke size.
 #   --chaos   also run the full rdp-serve suite with the `chaos` feature
 #             (service-level fault injection against the job server).
 #
@@ -80,6 +81,10 @@ if [[ "${1:-}" == "--full" ]]; then
   run cargo test --release -q --test release_gates --test determinism -- --ignored --nocapture
   # Full chaos batch: twelve faulted jobs, two mid-batch server kills.
   run cargo test -p rdp-serve --features chaos -q --test chaos -- --ignored
+  # The T1-T5 and figure binaries at smoke size: the only callers of the
+  # baseline presets (B1-B4, the T5 ablations), which the default gate
+  # only lints.
+  run scripts/experiments.sh --smoke
 fi
 
 echo "ci: OK"

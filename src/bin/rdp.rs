@@ -70,6 +70,20 @@ fn estimator_flag(
     }
 }
 
+/// Parses a seconds flag (`--budget`, `--deadline`) shared by `place` and
+/// `serve`: a value that is negative, NaN or too large for a `Duration`
+/// is an error, not a panic.
+fn seconds_flag(
+    flags: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<std::time::Duration>, String> {
+    let Some(s) = flags.get(key) else { return Ok(None) };
+    let secs: f64 = s.parse().map_err(|e| format!("bad --{key}: {e}"))?;
+    std::time::Duration::try_from_secs_f64(secs)
+        .map(Some)
+        .map_err(|_| format!("bad --{key}: {secs} (want seconds >= 0 that fit a duration)"))
+}
+
 /// Splits argv into flag map (`--key value` / bare `--switch`).
 fn parse_flags(args: &[String]) -> Option<HashMap<String, String>> {
     let mut map = HashMap::new();
@@ -149,12 +163,8 @@ fn cmd_place(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(s) = flags.get("seed") {
         options.seed = s.parse().map_err(|e| format!("bad --seed: {e}"))?;
     }
-    if let Some(s) = flags.get("budget") {
-        let secs: f64 = s.parse().map_err(|e| format!("bad --budget: {e}"))?;
-        if !secs.is_finite() || secs < 0.0 {
-            return Err(format!("bad --budget: {secs} (want seconds >= 0)"));
-        }
-        options.budget.flow_wall = Some(std::time::Duration::from_secs_f64(secs));
+    if let Some(budget) = seconds_flag(flags, "budget")? {
+        options.budget.flow_wall = Some(budget);
     }
     if let Some(schedule) = estimator_flag(flags)? {
         options = options.with_estimator(schedule);
@@ -311,18 +321,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             s.parse().map_err(|e| format!("bad --{key}: {e}"))
         })
     };
-    let secs = |key: &str| -> Result<Option<std::time::Duration>, String> {
-        match flags.get(key) {
-            None => Ok(None),
-            Some(s) => {
-                let v: f64 = s.parse().map_err(|e| format!("bad --{key}: {e}"))?;
-                if !v.is_finite() || v < 0.0 {
-                    return Err(format!("bad --{key}: {v} (want seconds >= 0)"));
-                }
-                Ok(Some(std::time::Duration::from_secs_f64(v)))
-            }
-        }
-    };
     let demo = parse("demo", 0)?;
     if demo == 0 {
         return Err("serve needs --demo N (number of demo jobs to run)".into());
@@ -338,10 +336,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         .with_threads_per_job(parse("threads", 1)?)
         .with_queue_capacity(parse("queue", 1024)?)
         .with_max_attempts(parse("retries", 3)?);
-    if let Some(budget) = secs("budget")? {
+    if let Some(budget) = seconds_flag(flags, "budget")? {
         config.budget.flow_wall = Some(budget);
     }
-    if let Some(deadline) = secs("deadline")? {
+    if let Some(deadline) = seconds_flag(flags, "deadline")? {
         config = config.with_deadline(deadline);
     }
     if let Some(dir) = flags.get("spool") {

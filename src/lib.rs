@@ -19,6 +19,11 @@
 //! | [`eval`]    | `rdp-eval`  | DAC-2012 scoring sessions, reports       |
 //! | [`serve`]   | `rdp-serve` | hardened place-as-a-service job server   |
 //!
+//! [`place`] runs one method per step of the paper's flow: best-choice
+//! clustering, analytical global placement, discrete macro orientation,
+//! congestion-driven inflation, legalization, and swap/reorder/flip
+//! detailed placement.
+//!
 //! # Quickstart
 //!
 //! ```

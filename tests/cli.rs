@@ -128,6 +128,42 @@ fn serve_reports_failed_jobs_with_nonzero_exit() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("1 job(s) failed"));
 }
 
+/// Runs `rdp` and asserts a clean usage error (exit code 1, not a panic)
+/// whose message names `flag`.
+fn assert_bad_flag(args: &[&str], flag: &str) {
+    let out = rdp().args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?} must fail cleanly, stderr: {stderr}");
+    assert!(stderr.contains(&format!("bad --{flag}")), "stderr: {stderr}");
+}
+
+#[test]
+fn serve_rejects_out_of_range_seconds() {
+    for flag in ["budget", "deadline"] {
+        for value in ["1e300", "-1", "NaN"] {
+            assert_bad_flag(&["serve", "--demo", "1", &format!("--{flag}"), value], flag);
+        }
+    }
+}
+
+#[test]
+fn place_rejects_out_of_range_budget() {
+    let dir = tmp("budget");
+    let bench = dir.join("bench");
+    let out = rdp()
+        .args(["generate", "--preset", "tiny", "--name", "b", "--seed", "3", "--out"])
+        .arg(&bench)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let aux = bench.join("b.aux");
+    let sol = dir.join("sol");
+    let (aux, sol) = (aux.to_str().unwrap(), sol.to_str().unwrap());
+    for value in ["1e300", "-1", "NaN"] {
+        assert_bad_flag(&["place", "--aux", aux, "--out", sol, "--fast", "--budget", value], "budget");
+    }
+}
+
 #[test]
 fn place_accepts_the_estimator_flag() {
     let dir = tmp("est");

@@ -255,7 +255,9 @@ fn full_all_engine_combinations_place_legally() {
 
 /// At 100k cells one learned-tier round is at least 3× faster than the
 /// incremental router round it stands in for (5% of the cells moved on a
-/// spread, congestion-bound placement).
+/// spread, congestion-bound placement). Also prints the incremental
+/// reroute's time against the full route it warm-starts from, the ratio
+/// ROADMAP item 3 weighs.
 #[test]
 #[ignore = "release-build gate; run via scripts/ci.sh --full"]
 fn full_learned_round_beats_incremental_router_round_3x_at_100k() {
@@ -292,7 +294,9 @@ fn full_learned_round_beats_incremental_router_round_3x_at_100k() {
         .fold(f64::INFINITY, f64::min);
 
     let router = GlobalRouter::new(RouterConfig::builder().threads(threads).build());
+    let t = Instant::now();
     let warm = router.route(design, &base);
+    let full_s = t.elapsed().as_secs_f64();
     let movables: Vec<_> = design.movable_ids().collect();
     let count = ((movables.len() as f64 * 0.05).round() as usize).clamp(1, movables.len());
     let mut rng = Rng::seed_from_u64(0xD117_0005);
@@ -319,6 +323,11 @@ fn full_learned_round_beats_incremental_router_round_3x_at_100k() {
     let t = Instant::now();
     router.reroute_incremental(&warm, design, &perturbed, &moved);
     let router_s = t.elapsed().as_secs_f64();
+    eprintln!(
+        "100k cells, {threads} thread(s): full route {full_s:.3}s, incremental reroute \
+         {router_s:.3}s after a 5% move (incremental / full = {:.2})",
+        router_s / full_s.max(1e-12)
+    );
 
     let speedup = router_s / learned_s.max(1e-12);
     assert!(
