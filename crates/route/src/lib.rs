@@ -17,7 +17,8 @@
 //!   linear regressor over per-gcell congestion features, trained offline
 //!   on this router's own overflow (`rdp train-estimator`);
 //! * [`maze`] — canonical A\* maze routing over reusable epoch-stamped
-//!   scratch, driving history-based negotiation (rip-up-and-reroute), the
+//!   scratch, and per-source search trees certified to return the A\*
+//!   paths, driving history-based negotiation (rip-up-and-reroute), the
 //!   full router used for scoring;
 //! * [`metrics`] — overflow and the contest's ACE(k%) / RC metrics;
 //! * [`heatmap`] — congestion maps as CSV or ASCII for the figures.

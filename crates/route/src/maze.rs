@@ -1,7 +1,7 @@
 //! A\* maze routing on the gcell grid.
 //!
 //! Used by the negotiation loop to reroute ripped-up segments around
-//! congestion. Two things make this engine fast enough to sit in the
+//! congestion. Three things make this engine fast enough to sit in the
 //! placer's inner loop:
 //!
 //! * **Reusable scratch** ([`MazeScratch`]): the per-cell `best_g` /
@@ -10,13 +10,22 @@
 //!   a worker routes.
 //! * **Frozen costs** ([`EdgeCosts`]): edge costs are snapshotted once per
 //!   negotiation round, so a heap relaxation is a single array load.
+//! * **One tree per source** ([`search_from`]): all of a round's requests
+//!   from one cell are answered by one Dijkstra tree, certified path by
+//!   path to equal the A\* path, with the A\* as the fallback.
 //!
-//! **Canonical paths.** Among equal-cost shortest paths the search returns
-//! a *canonical* one: cells keep relaxing until every queue entry is
+//! **Canonical paths.** Among equal-cost shortest paths the A\* returns a
+//! *canonical* one: cells keep relaxing until every queue entry is
 //! provably worse than the target's distance, and on exact cost ties the
-//! lexicographically smallest parent wins. The resulting parent array is a
-//! pure function of the cost field — independent of exploration order and
-//! of the thread count.
+//! lowest-index parent among the cells it expanded wins. The path is a
+//! pure function of the cost field and the two endpoints — independent of
+//! scratch history and of the thread count — but not of the search
+//! algorithm: which cells the A\* expands depends on its `f = g + h`
+//! order and its `f > target_g` stop. A Dijkstra tree with the same tie
+//! rule sees every optimal predecessor and can return another equal-cost
+//! path where a rounded `f` lands an ulp above the target's label (up to
+//! 10 paths per round on B1). [`search_from`] therefore keeps a tree path
+//! only where a certificate proves the A\* returns it too.
 //!
 //! **No search window.** The search always spans the whole grid. The
 //! Manhattan heuristic (scaled by [`EdgeCosts::min_cost`]) already keeps
@@ -110,8 +119,9 @@ impl PartialOrd for HeapEntry3 {
     }
 }
 
-/// Reusable A\* working memory: epoch-stamped per-state labels plus the
-/// open-list heaps (one for 2-D searches, one for 3-D).
+/// Reusable search working memory: epoch-stamped per-state labels plus the
+/// open-list heaps (one for 2-D searches, one for 3-D searches and the
+/// per-source trees).
 ///
 /// `begin` bumps the epoch instead of clearing, so repeated searches on
 /// the same grid cost no allocation and no O(grid) memset. A worker thread
@@ -123,6 +133,9 @@ pub struct MazeScratch {
     best_g: Vec<f64>,
     parent: Vec<u32>,
     stamp: Vec<u32>,
+    /// A state is an unsettled target of the current [`search_from`] tree
+    /// iff its entry equals the epoch.
+    goal: Vec<u32>,
     epoch: u32,
     heap: BinaryHeap<HeapEntry>,
     heap3: BinaryHeap<HeapEntry3>,
@@ -145,12 +158,14 @@ impl MazeScratch {
             // NOT reset here: existing entries still carry old stamps,
             // and restarting from 1 would make them look current.
             self.stamp.resize(cells, 0);
+            self.goal.resize(cells, 0);
         }
         self.heap.clear();
         self.heap3.clear();
         if self.epoch == u32::MAX {
             // Epoch wraparound: hard-reset the stamps once every 2³² uses.
             self.stamp.iter_mut().for_each(|s| *s = 0);
+            self.goal.iter_mut().for_each(|s| *s = 0);
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -203,8 +218,7 @@ pub fn search(
     }
     scratch.begin(grid.num_gcells());
     let (x_max, y_max) = (grid.nx() - 1, grid.ny() - 1);
-    let h_scale = costs.min_cost();
-    let h = |c: GCell| f64::from(c.manhattan(to)) * h_scale;
+    let h = |c: GCell| heuristic(costs, to, 0, c.x, c.y);
     let from_i = grid.cell_index(from);
     let to_i = grid.cell_index(to);
     scratch.set(from_i, 0.0, NO_PARENT);
@@ -247,9 +261,10 @@ pub fn search(
                     scratch.heap.push(HeapEntry { f: nf, g: ng, cell: n });
                 }
             } else if ng == cur && (ci as u32) < scratch.parent_of(ni) {
-                // Exact cost tie: the lexicographically smallest parent
-                // wins, making the parent array independent of
-                // exploration order.
+                // Exact cost tie: the lowest-index parent wins, so a
+                // label's parent does not depend on the order in which
+                // the expanded cells relax it (which cells get expanded
+                // does depend on the pop order: see the module docs).
                 scratch.set(ni, ng, ci as u32);
             }
         };
@@ -267,25 +282,6 @@ pub fn search(
         }
     }
     reconstruct(grid, from, to, scratch)
-}
-
-/// Walks the parent chain from `to` back to `from`, returning the path's
-/// edges in forward order.
-fn reconstruct(grid: &RouteGrid, from: GCell, to: GCell, scratch: &MazeScratch) -> Vec<EdgeId> {
-    let mut edges = Vec::new();
-    let mut cur = to;
-    while cur != from {
-        let p = scratch.parent_of(grid.cell_index(cur));
-        debug_assert_ne!(p, NO_PARENT, "reconstruct called on an unreached target");
-        if p == NO_PARENT {
-            return Vec::new();
-        }
-        let prev = grid.cell_at(p as usize);
-        edges.push(grid.edge_between(prev, cur).expect("path edges are adjacent"));
-        cur = prev;
-    }
-    edges.reverse();
-    edges
 }
 
 /// Layered counterpart of [`search`]: cheapest path between two layer-0
@@ -309,13 +305,7 @@ pub fn search3(
     let nl = grid.num_layers() as u32;
     let n_via = grid.num_via_levels() as u32;
     scratch.begin((nl * nx * ny) as usize);
-    // Admissible and consistent: every remaining path needs at least the
-    // 2-D Manhattan distance in planar edges (each ≥ min_cost) plus
-    // `layer` via edges to get back down to layer 0 (each ≥ min_via_cost).
-    let (h_planar, h_via) = (costs.min_cost(), costs.min_via_cost());
-    let h = |l: u32, x: u32, y: u32| {
-        f64::from(x.abs_diff(to.x) + y.abs_diff(to.y)) * h_planar + f64::from(l) * h_via
-    };
+    let h = |l: u32, x: u32, y: u32| heuristic(costs, to, l, x, y);
     let idx = |l: u32, x: u32, y: u32| ((l * ny + y) * nx + x) as usize;
     let from_i = idx(0, from.x, from.y);
     let to_i = idx(0, to.x, to.y);
@@ -378,41 +368,249 @@ pub fn search3(
             relax(idx(l + 1, x, y), grid.via_edge(x, y, l as usize), h(l + 1, x, y), scratch);
         }
     }
-    reconstruct3(grid, from, to, scratch)
+    reconstruct(grid, from, to, scratch)
 }
 
-/// Walks the 3-D parent chain from `(0, to)` back to `(0, from)`,
-/// returning the path's edges (planar and via) in forward order.
-fn reconstruct3(grid: &RouteGrid, from: GCell, to: GCell, scratch: &MazeScratch) -> Vec<EdgeId> {
-    let (nx, ny) = (grid.nx(), grid.ny());
-    let idx = |l: u32, x: u32, y: u32| ((l * ny + y) * nx + x) as usize;
-    let decode = |i: u32| {
-        let (l, rem) = (i / (nx * ny), i % (nx * ny));
-        (l, rem % nx, rem / nx)
-    };
+/// The A\* heuristic for target `to` at state `(l, x, y)`, shared by
+/// [`search`] (always `l = 0`), [`search3`] and the certificate of
+/// [`search_from`], which must evaluate exactly the A\*'s expression.
+/// Admissible and consistent: every remaining path needs at least the
+/// Manhattan distance in planar edges (each ≥ `min_cost`) plus `l` via
+/// edges to get back down to layer 0 (each ≥ `min_via_cost`, which is 0
+/// on a planar grid, so there the second term adds `+0.0`).
+#[inline]
+fn heuristic(costs: &EdgeCosts, to: GCell, l: u32, x: u32, y: u32) -> f64 {
+    f64::from(x.abs_diff(to.x) + y.abs_diff(to.y)) * costs.min_cost()
+        + f64::from(l) * costs.min_via_cost()
+}
+
+/// Parent of state `s` on the chain from `to` back to `from`.
+///
+/// # Panics
+///
+/// If `s` has no parent: the search never reached `to`. Every grid is
+/// connected, so that is a bug, and an empty path in its place would
+/// quietly leave the segment without usage.
+#[inline]
+fn chain_parent(scratch: &MazeScratch, s: u32, from: GCell, to: GCell) -> u32 {
+    let p = scratch.parent_of(s as usize);
+    assert_ne!(p, NO_PARENT, "maze search from {from:?} never reached {to:?}");
+    p
+}
+
+/// Walks the parent chain from state `(0, to)` back to `(0, from)`,
+/// returning the path's edges (planar and via) in forward order. States
+/// are flat indices `(layer·ny + y)·nx + x`; layer 0 is
+/// [`RouteGrid::cell_index`], so planar searches share the walk.
+fn reconstruct(grid: &RouteGrid, from: GCell, to: GCell, scratch: &MazeScratch) -> Vec<EdgeId> {
+    let from_i = grid.cell_index(from) as u32;
+    let mut cur = grid.cell_index(to) as u32;
     let mut edges = Vec::new();
-    let from_i = idx(0, from.x, from.y);
-    let mut cur = idx(0, to.x, to.y);
     while cur != from_i {
-        let p = scratch.parent_of(cur);
-        debug_assert_ne!(p, NO_PARENT, "reconstruct3 called on an unreached target");
-        if p == NO_PARENT {
-            return Vec::new();
-        }
-        let (cl, cx, cy) = decode(cur as u32);
-        let (pl, px, py) = decode(p);
-        let e = if cl != pl {
-            grid.via_edge(cx, cy, cl.min(pl) as usize)
-        } else if cx != px {
-            grid.h_edge_on(cl as usize, cx.min(px), cy)
-        } else {
-            grid.v_edge_on(cl as usize, cx, cy.min(py))
-        };
-        edges.push(e);
-        cur = p as usize;
+        let p = chain_parent(scratch, cur, from, to);
+        edges.push(state_edge(grid, p, cur));
+        cur = p;
     }
     edges.reverse();
     edges
+}
+
+/// The edge joining the adjacent states `a` and `b`.
+fn state_edge(grid: &RouteGrid, a: u32, b: u32) -> EdgeId {
+    let plane = grid.num_gcells() as u32;
+    let (la, lb) = (a / plane, b / plane);
+    let (ca, cb) = (grid.cell_at((a % plane) as usize), grid.cell_at((b % plane) as usize));
+    if la != lb {
+        grid.via_edge(ca.x, ca.y, la.min(lb) as usize)
+    } else if !grid.has_vias() {
+        grid.edge_between(ca, cb).expect("path states are adjacent")
+    } else if ca.y == cb.y {
+        grid.h_edge_on(la as usize, ca.x.min(cb.x), ca.y)
+    } else {
+        grid.v_edge_on(la as usize, ca.x, ca.y.min(cb.y))
+    }
+}
+
+/// Calls `f(neighbour, edge)` for each neighbour of state `s`: all four
+/// planar neighbours on a grid without vias; on a layered grid the two
+/// along `s`'s layer direction plus the via neighbours above and below.
+#[inline]
+fn for_each_neighbour(grid: &RouteGrid, s: u32, mut f: impl FnMut(u32, EdgeId)) {
+    let (nx, ny) = (grid.nx(), grid.ny());
+    let plane = nx * ny;
+    let (l, rem) = (s / plane, s % plane);
+    let (x, y) = (rem % nx, rem / nx);
+    let (along_x, along_y) = if grid.has_vias() {
+        let h = grid.layer_dir(l as usize) == crate::grid::LayerDir::Horizontal;
+        (h, !h)
+    } else {
+        (true, true)
+    };
+    let on = l as usize;
+    if along_x {
+        let h_edge = |x| if grid.has_vias() { grid.h_edge_on(on, x, y) } else { grid.h_edge(x, y) };
+        if x > 0 {
+            f(s - 1, h_edge(x - 1));
+        }
+        if x + 1 < nx {
+            f(s + 1, h_edge(x));
+        }
+    }
+    if along_y {
+        let v_edge = |y| if grid.has_vias() { grid.v_edge_on(on, x, y) } else { grid.v_edge(x, y) };
+        if y > 0 {
+            f(s - nx, v_edge(y - 1));
+        }
+        if y + 1 < ny {
+            f(s + nx, v_edge(y));
+        }
+    }
+    if l > 0 {
+        f(s - plane, grid.via_edge(x, y, on - 1));
+    }
+    if on < grid.num_via_levels() {
+        f(s + plane, grid.via_edge(x, y, on));
+    }
+}
+
+/// Answers all requests from one source: for each of `targets`, the path
+/// from `from` that [`search`] (planar grid) or [`search3`] (layered
+/// grid) returns for that pair, bitwise. Returns one path per target, in
+/// order; duplicate targets and `from` itself (an empty path) are allowed.
+///
+/// One canonical Dijkstra tree from `from` (key `(g, state)`, the same
+/// lowest-parent-index tie rule as the A\*) grows until every target is
+/// settled. Each target's tree path is then kept only under an
+/// **A\*-equivalence certificate**, and the A\* answers the targets where
+/// it fails. The private `grow_tree` documents why the certificate is
+/// needed and what it proves.
+pub fn search_from(
+    grid: &RouteGrid,
+    costs: &EdgeCosts,
+    from: GCell,
+    targets: &[GCell],
+    scratch: &mut MazeScratch,
+) -> Vec<Vec<EdgeId>> {
+    if targets.is_empty() {
+        return Vec::new();
+    }
+    grow_tree(grid, costs, from, targets, scratch);
+    let mut paths: Vec<Vec<EdgeId>> = Vec::with_capacity(targets.len());
+    let mut fallback: Vec<usize> = Vec::new();
+    for (k, &to) in targets.iter().enumerate() {
+        if certified(grid, costs, from, to, scratch) {
+            paths.push(reconstruct(grid, from, to, scratch));
+        } else {
+            paths.push(Vec::new());
+            fallback.push(k);
+        }
+    }
+    // The A* reuses the scratch, so it runs only after every tree path
+    // has been read out.
+    for k in fallback {
+        let to = targets[k];
+        paths[k] = if grid.has_vias() {
+            search3(grid, costs, from, to, scratch)
+        } else {
+            search(grid, costs, from, to, scratch)
+        };
+    }
+    paths
+}
+
+/// Grows the canonical Dijkstra tree of [`search_from`] in `scratch`.
+///
+/// States pop in `(g, state)` order until the last target pops. Every
+/// edge costs far more than the rounding unit of any label, so each
+/// optimal predecessor of a state (one whose label plus the edge cost
+/// rounds to the state's final label) has a strictly smaller label: it
+/// pops and relaxes the state before the state pops. The tree's parent of
+/// every settled state is therefore the lowest index over *all* its
+/// optimal predecessors, a pure function of the costs, whatever the pop
+/// order among equal labels.
+///
+/// The A\* path is also a pure function of the costs and the two
+/// endpoints, but it is not the tree's: the A\* compares only the
+/// optimal predecessors it expands before its `f > target_g` stop. Where
+/// an equal-cost path's rounded `f = g + h` lands an ulp above `target_g`,
+/// the A\* never expands that path's states, and the two searches break
+/// the tie differently. The certificate ([`certified`]) closes that gap:
+/// if every state `v` on the tree path to `t` has `g(v) + h_t(v) ≤ g(t)`,
+/// computed as the A\* computes its `f`, then by induction from `from`
+/// the A\* pushes and pops every path state at its final label before it
+/// stops. The tree's parent of each path state is therefore among the
+/// predecessors the A\* compares, and being the lowest of all of them,
+/// it is the A\*'s choice too.
+fn grow_tree(
+    grid: &RouteGrid,
+    costs: &EdgeCosts,
+    from: GCell,
+    targets: &[GCell],
+    scratch: &mut MazeScratch,
+) {
+    let layers = if grid.has_vias() { grid.num_layers() } else { 1 };
+    scratch.begin(grid.num_gcells() * layers);
+    let epoch = scratch.epoch;
+    let mut unsettled = 0usize;
+    for &t in targets {
+        let ti = grid.cell_index(t);
+        if scratch.goal[ti] != epoch {
+            scratch.goal[ti] = epoch;
+            unsettled += 1;
+        }
+    }
+    let from_i = grid.cell_index(from) as u32;
+    scratch.set(from_i as usize, 0.0, NO_PARENT);
+    scratch.heap3.push(HeapEntry3 { f: 0.0, g: 0.0, idx: from_i });
+    while let Some(HeapEntry3 { g, idx: si, .. }) = scratch.heap3.pop() {
+        if g > scratch.g(si as usize) {
+            continue; // stale entry
+        }
+        if scratch.goal[si as usize] == epoch {
+            scratch.goal[si as usize] = 0; // settled (the epoch is never 0)
+            unsettled -= 1;
+            if unsettled == 0 {
+                break;
+            }
+        }
+        for_each_neighbour(grid, si, |n, e| {
+            let ng = g + costs.cost(e);
+            let cur = scratch.g(n as usize);
+            if ng < cur {
+                scratch.set(n as usize, ng, si);
+                // Keyed on `g` alone: `f` is `g` here, and the heap's
+                // secondary `g` order then never decides anything.
+                scratch.heap3.push(HeapEntry3 { f: ng, g: ng, idx: n });
+            } else if ng == cur && si < scratch.parent_of(n as usize) {
+                scratch.set(n as usize, ng, si);
+            }
+        });
+    }
+}
+
+/// Whether the tree path to `to` in `scratch` passes the
+/// A\*-equivalence certificate of [`grow_tree`]: every state `v` on it has
+/// `g(v) + h_to(v) ≤ g(to)`, with `f` rounded exactly as the A\* rounds it.
+/// (`to` itself passes trivially: its `h` is 0.)
+fn certified(
+    grid: &RouteGrid,
+    costs: &EdgeCosts,
+    from: GCell,
+    to: GCell,
+    scratch: &MazeScratch,
+) -> bool {
+    let plane = grid.num_gcells() as u32;
+    let from_i = grid.cell_index(from) as u32;
+    let mut cur = grid.cell_index(to) as u32;
+    let target_g = scratch.g(cur as usize);
+    while cur != from_i {
+        cur = chain_parent(scratch, cur, from, to);
+        let c = grid.cell_at((cur % plane) as usize);
+        if scratch.g(cur as usize) + heuristic(costs, to, cur / plane, c.x, c.y) > target_g {
+            return false;
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -526,6 +724,51 @@ mod tests {
             let fresh = search(&g, &costs, a, b, &mut MazeScratch::new());
             assert_eq!(reused, fresh, "{a:?} -> {b:?}");
         }
+    }
+
+    #[test]
+    fn uncertified_tie_falls_back_to_the_astar_path() {
+        // 3×3 grid, capacity 3: an edge with usage u costs 1 + (u + 1)/3,
+        // so 4/3 at usage 0 and 2 at usage 2. From (0,0) to (2,2), the
+        // equal-cost paths via (1,0) and via (0,1) both continue
+        // (1,1) → (1,2) → (2,2) over usage-0 edges and cost 2 + 3·(4/3):
+        // summed edge by edge that is 6 − 1 ulp, the target's label. The
+        // first step's f, 2 + h = 2 + 3·(4/3), rounds to 6 exactly, above
+        // the label. The A* pops (0,1) (equal f and g, smaller cell)
+        // before the target holds a label, reaches the target through it
+        // and stops before popping (1,0). The tree sees both parents of
+        // (1,1) and takes the lower index, (1,0): an equal-cost path the
+        // A* does not return, which the certificate rejects.
+        let mut g = RouteGrid::uniform(3, 3, Point::ORIGIN, 1.0, 1.0, 3.0, 3.0);
+        // Horizontal edges 0..6 (`h_edge(x, y)` = 2y + x), then vertical
+        // edges 6..12 (`v_edge(x, y)` = 6 + 3y + x).
+        let usage = [2.0, 1.0, 0.0, 2.0, 0.0, 0.0, 2.0, 0.0, 1.0, 1.0, 0.0, 0.0];
+        for (e, &u) in usage.iter().enumerate() {
+            g.add_usage(EdgeId(e as u32), u);
+        }
+        let costs = EdgeCosts::build(&g, CostParams::default());
+        let (from, to) = (GCell::new(0, 0), GCell::new(2, 2));
+        let astar = search(&g, &costs, from, to, &mut MazeScratch::new());
+        assert_eq!(astar, [g.v_edge(0, 0), g.h_edge(0, 1), g.v_edge(1, 1), g.h_edge(1, 2)]);
+
+        let mut scratch = MazeScratch::new();
+        grow_tree(&g, &costs, from, &[to], &mut scratch);
+        let bare = reconstruct(&g, from, to, &scratch);
+        assert_eq!(bare, [g.h_edge(0, 0), g.v_edge(1, 0), g.v_edge(1, 1), g.h_edge(1, 2)]);
+        let cost = |p: &[EdgeId]| p.iter().map(|&e| costs.cost(e)).fold(0.0, |a, c| a + c);
+        assert_eq!(cost(&bare), cost(&astar), "an exact tie");
+        assert!(!certified(&g, &costs, from, to, &scratch));
+
+        assert_eq!(search_from(&g, &costs, from, &[to], &mut scratch), [astar]);
+    }
+
+    #[test]
+    #[should_panic(expected = "never reached")]
+    fn broken_parent_chain_panics() {
+        let g = grid();
+        let mut scratch = MazeScratch::new();
+        scratch.begin(g.num_gcells());
+        reconstruct(&g, GCell::new(0, 0), GCell::new(3, 3), &scratch);
     }
 
     fn grid3() -> RouteGrid {

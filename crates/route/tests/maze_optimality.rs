@@ -1,9 +1,10 @@
-//! Property test: the A\* maze router returns cost-optimal paths.
+//! Property tests: the A\* maze router returns cost-optimal paths, and the
+//! per-source search tree returns exactly the A\* paths.
 //!
-//! Verified against a brute-force Bellman-Ford relaxation over the whole
-//! grid — slow but obviously correct — on random congestion and history
-//! fields drawn from the workspace's own deterministic PRNG. The
-//! `property-tests` feature multiplies the case count.
+//! Optimality is verified against a brute-force Bellman-Ford relaxation
+//! over the whole grid — slow but obviously correct — on random congestion
+//! and history fields drawn from the workspace's own deterministic PRNG.
+//! The `property-tests` feature multiplies the case count.
 
 use rdp_geom::rng::Rng;
 use rdp_geom::Point;
@@ -16,6 +17,10 @@ const CASES: u64 = if cfg!(feature = "property-tests") { 96 } else { 24 };
 
 /// Random wall-and-history fields checked per run.
 const WALL_CASES: u64 = if cfg!(feature = "property-tests") { 64 } else { 16 };
+
+/// Grids (one planar, one layered each) whose source runs are checked
+/// against the A\* per run.
+const TREE_CASES: u64 = if cfg!(feature = "property-tests") { 48 } else { 12 };
 
 /// Side length of the wall-and-history grids (big enough that optimal
 /// paths regularly detour far outside the segment's bounding box).
@@ -201,5 +206,73 @@ fn canonical_3d_path_is_stable_under_scratch_history() {
         assert_eq!(fresh, reused, "{from:?} -> {to:?}: reused scratch");
         assert_eq!(fresh, again, "{from:?} -> {to:?}: repeated query");
         assert_eq!(fresh, interleaved, "{from:?} -> {to:?}: after other queries");
+    }
+}
+
+/// Fills every edge of `grid` with usage and history. Tie-rich fields use
+/// small integers against capacities of 3 and 6, so many edges cost the
+/// same and many equal-cost sums round differently by path; random fields
+/// use continuous values.
+fn fill(grid: &mut RouteGrid, rng: &mut Rng, tie_rich: bool) {
+    for e in 0..grid.num_edges() as u32 {
+        let e = EdgeId(e);
+        if tie_rich {
+            grid.add_usage(e, f64::from(rng.gen_range(0u32..4)));
+            if rng.gen_range(0u32..4) == 0 {
+                grid.add_history(e, f64::from(rng.gen_range(1u32..3)));
+            }
+        } else {
+            grid.add_usage(e, rng.gen_range(0.0..12.0));
+            if rng.gen_range(0.0..1.0) < 0.2 {
+                grid.add_history(e, rng.gen_range(0.0..5.0));
+            }
+        }
+    }
+}
+
+#[test]
+fn per_source_tree_returns_the_astar_paths() {
+    let params = CostParams::default();
+    // One scratch serves every tree, planar and layered.
+    let mut scratch = MazeScratch::new();
+    let layers = [(Horizontal, 3.0), (Vertical, 3.0), (Horizontal, 3.0), (Vertical, 3.0)];
+    for case in 0..TREE_CASES {
+        let mut rng = Rng::seed_from_u64(0x7EE_5EED ^ case.wrapping_mul(0x9E37_79B9));
+        let tie_rich = case % 2 == 0;
+        let (nx, ny) = (rng.gen_range(2u32..15), rng.gen_range(2u32..15));
+        let planar = RouteGrid::uniform(nx, ny, Point::ORIGIN, 1.0, 1.0, 3.0, 3.0);
+        let layered =
+            RouteGrid::uniform_layers(nx, ny, Point::ORIGIN, 1.0, 1.0, &layers, Some(6.0));
+        for mut grid in [planar, layered] {
+            fill(&mut grid, &mut rng, tie_rich);
+            let costs = EdgeCosts::build(&grid, params);
+            let cell = |rng: &mut Rng| GCell::new(rng.gen_range(0..nx), rng.gen_range(0..ny));
+            for _ in 0..3 {
+                let from = cell(&mut rng);
+                let mut targets: Vec<GCell> = Vec::new();
+                for _ in 0..rng.gen_range(1usize..41) {
+                    let t = match rng.gen_range(0u32..8) {
+                        0 => from,
+                        1 if !targets.is_empty() => targets[rng.gen_range(0..targets.len())],
+                        _ => cell(&mut rng),
+                    };
+                    targets.push(t);
+                }
+                let got = maze::search_from(&grid, &costs, from, &targets, &mut scratch);
+                assert_eq!(got.len(), targets.len());
+                for (&to, path) in targets.iter().zip(&got) {
+                    let want = if grid.has_vias() {
+                        maze::search3(&grid, &costs, from, to, &mut MazeScratch::new())
+                    } else {
+                        maze::search(&grid, &costs, from, to, &mut MazeScratch::new())
+                    };
+                    assert_eq!(
+                        path, &want,
+                        "case {case}, vias {}: {from:?} -> {to:?}",
+                        grid.has_vias()
+                    );
+                }
+            }
+        }
     }
 }

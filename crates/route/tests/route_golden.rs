@@ -159,12 +159,14 @@ fn layered_routes_match_golden() {
     check(LayerMode::Layered, 1);
 }
 
-/// The router searches each distinct `(from, to)` request of a round once
-/// and shares the path among the segments that repeat it. The goldens only
-/// cover that sharing if the supply-tight design repeats requests among
-/// the segments negotiation rips: guard it (on the segments still crossing
-/// overflow at the end, the set a further round would rip), so a generator
-/// change cannot silently end the coverage.
+/// The router answers each distinct `(from, to)` request of a round once,
+/// with one search tree per distinct source, and shares the path among the
+/// segments that repeat it. The goldens only cover that sharing and those
+/// trees if the supply-tight design repeats requests, and sources among
+/// the distinct requests, in the segments negotiation rips: guard both
+/// (on the segments still crossing overflow at the end, the set a further
+/// round would rip), so a generator change cannot silently end the
+/// coverage.
 #[test]
 fn supply_tight_design_repeats_requests() {
     let bench = bench(1);
@@ -186,6 +188,15 @@ fn supply_tight_design_repeats_requests() {
             "{mode:?}: the {} segments crossing overflow make {} distinct requests",
             crossing.len(),
             distinct.len()
+        );
+        // `distinct` is sorted by source first.
+        let mut sources: Vec<_> = distinct.iter().map(|&(from, _)| from).collect();
+        sources.dedup();
+        assert!(
+            sources.len() < distinct.len(),
+            "{mode:?}: the {} distinct requests come from {} distinct sources",
+            distinct.len(),
+            sources.len()
         );
     }
 }

@@ -30,9 +30,10 @@ run cargo test --workspace -q
 run cargo clippy --workspace --all-targets --features rdp-bench/bench -- -D warnings
 # Rustdoc: broken, private or redundant intra-doc links fail the gate.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-# The router's randomized sweeps at full case count (about 1 s): A* path
-# optimality and scratch purity, which the per-round request sharing
-# relies on, and the warm-start contract.
+# The router's randomized sweeps at full case count (a few seconds): A*
+# path optimality and scratch purity, the per-source search tree's
+# certificate (every tree path equal to the A* path, on random and
+# tie-rich grids in both layer modes), and the warm-start contract.
 run cargo test -p rdp-route --features property-tests -q --test maze_optimality --test incremental_equivalence
 # The repository benchmark harness is a workspace of its own, so the
 # workspace test above does not reach it: run its tests (every workload
